@@ -97,8 +97,8 @@ def _sample_points(seed: int, n: int = 32) -> np.ndarray:
 
 def cmd_analyze(args) -> int:
     entry, germ = _load_target(args.target, args.trunc)
-    report = formal.decomposition_report(germ)
     model = formal.formal_decompose(germ)
+    report = formal.decomposition_summary(germ, model)
 
     mm = adapted_metric_frame(model)
     zs = _sample_points(args.seed)

@@ -18,9 +18,9 @@ from .errors import (DomainError, InsufficientTruncation, NilpotentLeading,
                      NonIntegralIrregularity, NotLogarithmic,
                      RamificationGuardExceeded, ConnexionLabError)
 from .model import (ConnectionGerm, ElementaryModel, RegularBlockData, SMatrix,
-                    gauge_transform, ramified_pullback, smat_coeff, smat_eye,
-                    smat_from_const, smat_min_trunc, smat_min_val, smat_mul,
-                    twist_by_exponential)
+                    ramified_pullback, smat_coeff, smat_from_const,
+                    smat_min_trunc, smat_min_val, smat_mul,
+                    twist_by_exponential, unipotent_gauge)
 from .series import (CQ, CQ_ONE, CQ_ZERO, PuiseuxSeries, ps_add, ps_eq_to_trunc,
                      ps_mul, ps_neg)
 
@@ -79,11 +79,29 @@ class NewtonPolygon:
         return sum((s * m for s, m in self.slopes), Fraction(0))
 
 
+def _cap_entries(m: SMatrix, cap: int) -> SMatrix:
+    """Drop the terms above exponent ``cap`` and lower each trunc to it."""
+    return [[s if s.trunc <= cap else
+             PuiseuxSeries(s.ram, {n: c for n, c in s.terms.items() if n <= cap},
+                           cap)
+             for s in row] for row in m]
+
+
 def newton_polygon(germ: ConnectionGerm) -> NewtonPolygon:
+    """Newton polygon from the principal-minor sums e_k of the matrix.
+
+    Only the part of e_k below exponent 0 is read.  With pole order p, a
+    product of k entries gets a negative exponent only from entry terms at
+    exponents below (k − 1)·p, so e_k is formed from entries capped there
+    (``_cap_entries``).  A capped product either keeps its truncation or
+    lands at one ≥ 0, so every coefficient below 0, and whether the
+    truncation is negative, is the same as without the cap.
+    """
     d, q = germ.rank, germ.ram
+    p = max(0, -(smat_min_val(germ.matrix) or 0))
     pts: list[tuple[int, Fraction]] = [(d, Fraction(0))]
     for k in range(1, d + 1):
-        e_k = _principal_minor_sum(germ.matrix, k)
+        e_k = _principal_minor_sum(_cap_entries(germ.matrix, (k - 1) * p), k)
         v = e_k.valuation()
         if v is None:
             if e_k.trunc < 0:
@@ -171,8 +189,8 @@ def _diag_t_gauge(a: SMatrix, weights: list[int], q: int) -> SMatrix:
 
 
 def _sylvester_solve(left: exactla.Matrix, right: exactla.Matrix,
-                     shift: CQ, rhs: exactla.Matrix) -> exactla.Matrix | None:
-    """Solve left·X − X·right − shift·X = rhs for X (exact, vectorized)."""
+                     rhs: exactla.Matrix) -> exactla.Matrix | None:
+    """Solve left·X − X·right = rhs for X (exact, vectorized)."""
     p, n = len(left), len(right)
     big = exactla.zeros(p * n, p * n)
     vec_rhs = []
@@ -184,7 +202,6 @@ def _sylvester_solve(left: exactla.Matrix, right: exactla.Matrix,
                 big[r][k * n + j] = big[r][k * n + j] + left[i][k]
             for k in range(n):
                 big[r][i * n + k] = big[r][i * n + k] - right[k][j]
-            big[r][r] = big[r][r] - shift
     x = exactla.solve(big, vec_rhs)
     if x is None:
         return None
@@ -203,7 +220,12 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
     """Regular data of a logarithmic germ: α (Re ∈ [0,1/q)) and partitions.
 
     Resonant residue eigenvalues (differences in (1/q)·Z) are merged by
-    unit shears before the tail of the matrix is gauged away.
+    unit shears.  After that the residue A₀ alone fixes the answer: no two
+    eigenvalues differ by a positive multiple of 1/q, so every Sylvester
+    operator X ↦ A₀X − XA₀ − (m/q)·X with m ≥ 1 is invertible and the tail
+    A₁, A₂, … can be gauged away order by order by I + X·tᵐ, and on a
+    logarithmic germ such a gauge leaves A₀ unchanged.  So the tail is
+    never computed; the eigenvalues and Jordan partitions are read off A₀.
     """
     d, q = germ.rank, germ.ram
     a = germ.matrix
@@ -240,30 +262,10 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
     else:
         raise ConnexionLabError("resonance clearing did not terminate")
 
-    a0 = smat_coeff(a, 0)
-    trunc = smat_min_trunc(a)
-    ram = a[0][0].ram
-    for m in range(1, trunc + 1):
-        am = smat_coeff(a, m)
-        if all(x.is_zero for row in am for x in row):
-            continue
-        x = _sylvester_solve(a0, a0, CQ.of(Fraction(m, q)),
-                             [[-v for v in row] for row in am])
-        if x is None:
-            raise ConnexionLabError("unexpected resonance at order "
-                                    f"{m}/{q} after shearing")
-        g = smat_eye(d, ram, trunc)
-        for i in range(d):
-            for j in range(d):
-                if not x[i][j].is_zero:
-                    g[i][j] = ps_add(g[i][j],
-                                     PuiseuxSeries(ram, {m: x[i][j]}, trunc))
-        a = gauge_transform(a, g)
-
     blocks = []
-    for lam, basis in _eigen_groups(smat_coeff(a, 0)):
+    for lam, basis in groups:
         b = _cols(basis, d)
-        shifted = [[smat_coeff(a, 0)[i][j] - (lam if i == j else CQ_ZERO)
+        shifted = [[a0[i][j] - (lam if i == j else CQ_ZERO)
                     for j in range(d)] for i in range(d)]
         image = exactla.mat_mul(shifted, b)
         n_coords = []
@@ -291,7 +293,11 @@ def split_by_spectrum(germ: ConnectionGerm) -> list[ConnectionGerm]:
 
     Requires a pole (v ≥ 1) and at least two distinct leading eigenvalues;
     the off-diagonal blocks are removed order by order, exactly, up to the
-    working truncation.
+    working truncation N (the least entry truncation after the change to
+    the eigenbasis).  Order n is cleared by the gauge I + X·t^{n+v}, applied
+    with ``unipotent_gauge``: the coefficient recurrence
+    A′ₖ = (A·G)ₖ − ((n+v)/q)·X·[k = n+v] − X·A′ₖ₋ₙ₋ᵥ, with each entry given the
+    truncation that the full product G⁻¹·A·G − G⁻¹·z∂G would give it.
     """
     d, q = germ.rank, germ.ram
     a = germ.matrix
@@ -313,7 +319,6 @@ def split_by_spectrum(germ: ConnectionGerm) -> list[ConnectionGerm]:
         raise ConnexionLabError("generalized eigenspaces do not fill the space")
     a = _const_gauge(a, _cols(ordered, d))
     trunc = smat_min_trunc(a)
-    ram = a[0][0].ram
     lead_blocks = []
     lead_now = smat_coeff(a, -v)
     for lo, hi in spans:
@@ -332,7 +337,7 @@ def split_by_spectrum(germ: ConnectionGerm) -> list[ConnectionGerm]:
                      for i in range(lo_i, hi_i)]
                 if all(x.is_zero for row in c for x in row):
                     continue
-                x = _sylvester_solve(lead_blocks[bi], lead_blocks[bj], CQ_ZERO,
+                x = _sylvester_solve(lead_blocks[bi], lead_blocks[bj],
                                      [[-y for y in row] for row in c])
                 if x is None:
                     raise ConnexionLabError("leading Sylvester block is singular")
@@ -340,16 +345,8 @@ def split_by_spectrum(germ: ConnectionGerm) -> list[ConnectionGerm]:
                     for j in range(hi_j - lo_j):
                         x_full[lo_i + i][lo_j + j] = x[i][j]
                 dirty = True
-        if not dirty:
-            continue
-        g = smat_eye(d, ram, trunc)
-        for i in range(d):
-            for j in range(d):
-                if not x_full[i][j].is_zero:
-                    g[i][j] = ps_add(
-                        g[i][j],
-                        PuiseuxSeries(ram, {order + v: x_full[i][j]}, trunc))
-        a = gauge_transform(a, g)
+        if dirty:
+            a = unipotent_gauge(a, x_full, order + v, trunc)
 
     out = []
     for lo, hi in spans:
@@ -496,10 +493,14 @@ def _decompose(germ: ConnectionGerm, max_ram: int) -> ElementaryModel:
 
 def decomposition_report(germ: ConnectionGerm) -> dict:
     """JSON-friendly summary: polygon, irregularity, elementary model."""
+    return decomposition_summary(germ, formal_decompose(germ))
+
+
+def decomposition_summary(germ: ConnectionGerm, model: ElementaryModel) -> dict:
+    """``decomposition_report`` for a model already decomposed from germ."""
     from .model import model_to_dict
 
     poly = newton_polygon(germ)
-    model = formal_decompose(germ)
     irr = poly.irregularity
     return {
         "rank": germ.rank,

@@ -119,11 +119,102 @@ def smat_neumann_inverse(a: SMatrix) -> SMatrix:
 
 
 def gauge_transform(a: SMatrix, g: SMatrix, g_inv: SMatrix | None = None) -> SMatrix:
-    """A ↦ G⁻¹·A·G − G⁻¹·(z∂G)."""
+    """A ↦ G⁻¹·A·G − G⁻¹·(z∂G) for a general gauge G.
+
+    Full series-matrix products plus a Neumann-series inverse, about
+    O(N³·d³) for truncation N.  The formal reduction applies its gauges
+    I + X·tᵐ with ``unipotent_gauge`` instead; this stays the general
+    gauge and the oracle that ``unipotent_gauge`` is tested against.
+    """
     if g_inv is None:
         g_inv = smat_neumann_inverse(g)
     return smat_sub(smat_mul(g_inv, smat_mul(a, g)),
                     smat_mul(g_inv, smat_derive(g)))
+
+
+def unipotent_gauge(a: SMatrix, x, m: int, trunc: int) -> SMatrix:
+    """``gauge_transform(a, G)`` for G = I + X·tᵐ, m ≥ 1, by recurrence.
+
+    G is the constant CQ matrix X at order m, with every entry of G at
+    truncation ``trunc`` = N ≥ 0 (X is dropped when m > N, as the series
+    constructor drops it).  With AG = A·G the result A′ = G⁻¹·(AG − (m/q)·X·tᵐ)
+    obeys A′ₙ = AGₙ − (m/q)·X·[n = m] − X·A′ₙ₋ₘ, which costs O(N·d³).
+
+    Each entry keeps the truncation that the ps_mul/ps_add chain of
+    ``gauge_transform`` gives it, v being the valuation (the trunc of an
+    empty entry):
+      trunc(AG)ᵢⱼ = minₖ min(aᵢₖ.trunc + v(Gₖⱼ), N + v(aᵢₖ)),
+      trunc(A′)ᵢⱼ = min(N, minₖ min(N + v(AGₖⱼ), AGₖⱼ.trunc + v(G⁻¹ᵢₖ))).
+    G⁻¹ = Σ (−X)ᵖ·t^{pm} up to N, so v(G⁻¹ᵢₖ) for i ≠ k is p·m for the first
+    p with (Xᵖ)ᵢₖ ≠ 0, read from exact powers because their entries can
+    cancel; by Cayley–Hamilton p < d suffices.  Below its truncation A′
+    agrees with the exact G⁻¹·(AG − (m/q)·X·tᵐ), so the recurrence gives
+    every stored coefficient.
+    """
+    from . import exactla
+
+    d = len(a)
+    q = a[0][0].ram
+    if trunc < 0:
+        raise ValueError("the gauge needs a non-negative truncation")
+    if m > trunc:
+        x = exactla.zeros(d, d)
+    vg = [[0 if k == j else (m if not x[k][j].is_zero else trunc)
+           for j in range(d)] for k in range(d)]
+    vginv = [[0 if i == k else trunc for k in range(d)] for i in range(d)]
+    pw = x
+    for p in range(1, min(d - 1, trunc // m) + 1):
+        for i in range(d):
+            for k in range(d):
+                if i != k and vginv[i][k] == trunc and not pw[i][k].is_zero:
+                    vginv[i][k] = p * m
+        pw = exactla.mat_mul(pw, x)
+
+    x_rows = [[(k, c) for k, c in enumerate(row) if not c.is_zero] for row in x]
+    ag: SMatrix = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            t_ij = min(min(a[i][k].trunc + vg[k][j], trunc + a[i][k].val_or_trunc())
+                       for k in range(d))
+            terms = dict(a[i][j].terms)
+            for k in range(d):
+                c = x[k][j]
+                if c.is_zero:
+                    continue
+                for n, s in a[i][k].terms.items():
+                    if n + m <= t_ij:
+                        terms[n + m] = terms.get(n + m, CQ_ZERO) + s * c
+            row.append(PuiseuxSeries(q, terms, t_ij))
+        ag.append(row)
+
+    out: SMatrix = [[None] * d for _ in range(d)]
+    dm = Fraction(m, q)
+    for j in range(d):
+        tr = [min([trunc] + [min(trunc + ag[k][j].val_or_trunc(),
+                                 ag[k][j].trunc + vginv[i][k]) for k in range(d)])
+              for i in range(d)]
+        exps = [n for k in range(d) for n in ag[k][j].terms]
+        if any(not x[k][j].is_zero for k in range(d)):
+            exps.append(m)
+        col: dict[int, list[CQ]] = {}
+        for n in range(min(exps, default=0), max(tr) + 1):
+            prev = col.get(n - m)
+            b = []
+            for i in range(d):
+                c = ag[i][j].coeff(n)
+                if n == m and not x[i][j].is_zero:
+                    c = c - x[i][j].scale(dm)
+                if prev is not None:
+                    for k, xik in x_rows[i]:
+                        if not prev[k].is_zero:
+                            c = c - xik * prev[k]
+                b.append(c)
+            col[n] = b
+        for i in range(d):
+            out[i][j] = PuiseuxSeries(
+                q, {n: b[i] for n, b in col.items() if n <= tr[i]}, tr[i])
+    return out
 
 
 # -- domain types --------------------------------------------------------

@@ -25,12 +25,13 @@ DEFAULT_BUDGET = 24
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+    try:
+        if isinstance(x, (int, str)):
+            return Fraction(x)
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator in {x!r}") from exc
     raise ParseError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -358,6 +359,6 @@ def ps_from_literal(lit) -> PuiseuxSeries:
             n, rn, rd, imn, imd = entry
             terms[int(n)] = CQ(Fraction(int(rn), int(rd)),
                                Fraction(int(imn), int(imd)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad series literal: {exc}") from exc
     return PuiseuxSeries(ram, terms, trunc)

@@ -65,6 +65,27 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_zero_denominator_in_series_term_exits_2(tmp_path, capsys):
+    spec = {"form": "matrix", "rank": 1,
+            "matrix": [[{"ram": 1, "trunc": 8, "terms": [[-1, 1, 0, 0, 1]]}]]}
+    path = tmp_path / "zero-den.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_zero_denominator_in_alpha_exits_2(tmp_path, capsys):
+    spec = {"form": "elementary", "ram": 1, "blocks": [
+        {"phi": {"ram": 1, "trunc": 8, "terms": []},
+         "regs": [{"alpha": [[1, 0], [0, 1]], "partition": [1]}]}]}
+    path = tmp_path / "zero-alpha.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_spec_file_analysis(tmp_path, capsys):
     spec = {"form": "matrix", "rank": 1,
             "matrix": [[{"ram": 1, "trunc": 16, "terms": [[-1, -1, 1, 0, 1]]}]]}
