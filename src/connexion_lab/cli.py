@@ -30,16 +30,8 @@ _NUMERIC_ERRORS = (UnstableDimensions, NonconvergentQuadrature)
 _BOUND_ERRORS = (SectorContainsCosZero, NotMonotone, UnboundedRatio)
 
 
-def _round(x, nd=12):
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return repr(x)
-        return round(x, nd)
-    return x
-
-
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_round) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

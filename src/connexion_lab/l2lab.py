@@ -28,6 +28,7 @@ PRESETS = {
 
 
 def smoothstep(t):
+    """Quintic smoothstep: 0 for t ≤ 0, 1 for t ≥ 1, C² in between; vectorized."""
     t = np.clip(t, 0.0, 1.0)
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
@@ -94,11 +95,14 @@ class WeightedLineData:
         """−Re φ(r e^{iθ}), vectorized."""
         r = np.asarray(r, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        z = r * np.exp(1j * theta)
         out = np.zeros(np.broadcast(r, theta).shape)
+        has_tail = self.tail is not None and not self.tail.is_zero
+        if self.a_ell == 0 and not has_tail:
+            return out
+        z = r * np.exp(1j * theta)
         if self.a_ell != 0:
             out = out - np.real(self.a_ell * z ** (-self.ell))
-        if self.tail is not None and not self.tail.is_zero:
+        if has_tail:
             acc = np.zeros_like(out, dtype=complex)
             for n, c in self.tail.terms.items():
                 acc = acc + c.to_complex() * z ** (n / self.tail.ram)
@@ -167,21 +171,24 @@ def _cumgauss_theta(func, radii, thetas, reverse=False):
     """Cumulative ∫ func(r, t) dt over θ nodes, 5-point Gauss per interval.
 
     Essentially exact for smooth integrands, unlike the trapezoid rule.
+    func must act elementwise: it is called once per Gauss node, on
+    (radii × intervals) arrays, and the interval integrals are summed
+    along θ, from the last node when reverse is set.
     """
     th = np.asarray(thetas, dtype=float)
     order = th if not reverse else th[::-1]
-    out = np.zeros((len(radii), len(th)))
-    acc = np.zeros(len(radii))
-    cols = [0.0 * acc]
-    for a, b in zip(order[:-1], order[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        seg = np.zeros(len(radii))
-        for node, wt in zip(_GL_NODES, _GL_WEIGHTS):
-            t = mid + half * node
-            seg = seg + wt * np.asarray(func(radii, np.full_like(radii, t)))
-        acc = acc + half * seg
-        cols.append(acc.copy())
-    res = np.stack(cols, axis=1)
+    a, b = order[:-1], order[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    shape = (len(radii), len(a))
+    rr = np.broadcast_to(np.asarray(radii, dtype=float)[:, None], shape).copy()
+    seg = np.zeros(shape)
+    for node, wt in zip(_GL_NODES, _GL_WEIGHTS):
+        # contiguous copies: numpy may round a transcendental ufunc
+        # differently on a broadcast (strided) input than on a row
+        tt = np.broadcast_to(mid + half * node, shape).copy()
+        seg = seg + wt * np.asarray(func(rr, tt))
+    res = np.concatenate([np.zeros((shape[0], 1)),
+                          np.cumsum(half * seg, axis=1)], axis=1)
     if reverse:
         res = res[:, ::-1]
     return res
@@ -202,20 +209,24 @@ def _cumtrapz(vals, x, axis=0, reverse=False):
 
 
 def _log_cumtrapz(logf, x, reverse=False):
-    """log of the cumulative trapezoid integral of e^{logf} along x."""
+    """log of the cumulative trapezoid integral of e^{logf} along x.
+
+    Works along the last axis of logf, so one call covers every row of a
+    (radii × θ) array.
+    """
     logf = np.asarray(logf, dtype=float)
     x = np.asarray(x, dtype=float)
     if reverse:
-        logf = logf[::-1]
+        logf = logf[..., ::-1]
         x = x[::-1]
     dx = np.abs(np.diff(x))
     with np.errstate(divide="ignore"):
-        log_inc = np.logaddexp(logf[1:], logf[:-1]) + np.log(dx / 2.0)
-        out = np.full(len(x), -np.inf)
-        for i in range(1, len(x)):
-            out[i] = np.logaddexp(out[i - 1], log_inc[i - 1])
+        log_inc = np.logaddexp(logf[..., 1:], logf[..., :-1]) + np.log(dx / 2.0)
+        start = np.full(logf.shape[:-1] + (1,), -np.inf)
+        out = np.logaddexp.accumulate(
+            np.concatenate([start, log_inc], axis=-1), axis=-1)
     if reverse:
-        out = out[::-1]
+        out = out[..., ::-1]
     return out
 
 
@@ -291,6 +302,11 @@ def weighted_norm(p: int, samples, d: WeightedLineData, g: SectorGrid,
 
 # -- phase structure ----------------------------------------------------------
 
+def _first_false(mask) -> int:
+    """Index of the first False entry of a 1-D boolean array, len if none."""
+    return len(mask) if np.all(mask) else int(np.argmin(mask))
+
+
 def phase_sign_check(d: WeightedLineData, g: SectorGrid) -> float:
     """Largest grid radius below which the proof's sign identities hold."""
     if d.a_ell == 0:
@@ -301,14 +317,8 @@ def phase_sign_check(d: WeightedLineData, g: SectorGrid) -> float:
     pred_r = -np.cos(d.tau - d.ell * tt)
     ok = (d_th * pred_th >= -1e-12 * (1 + np.abs(d_th))) \
         & (d_r * pred_r >= -1e-12 * (1 + np.abs(d_r)))
-    ok_row = np.all(ok, axis=1)
-    r_phi = g.radii[0]
-    for i in range(len(g.radii)):
-        if np.all(ok_row[: i + 1]):
-            r_phi = g.radii[i]
-        else:
-            break
-    return float(r_phi)
+    idx = _first_false(np.all(ok, axis=1))
+    return float(g.radii[max(idx - 1, 0)])
 
 
 def _cos_sign_on_sector(d: WeightedLineData, sector) -> int:
@@ -329,12 +339,8 @@ def log_psi(d: WeightedLineData, g: SectorGrid, sector=None) -> np.ndarray:
     th = np.linspace(sector[0], sector[1], len(g.thetas))
     rr, tt = np.meshgrid(g.radii, th, indexing="ij")
     le = 2.0 * d.neg_re_phi(rr, tt)
-    out = np.empty(len(g.radii))
-    dth = np.diff(th)
-    for i in range(len(g.radii)):
-        inc = np.logaddexp(le[i, 1:], le[i, :-1]) + np.log(dth / 2.0)
-        out[i] = np.logaddexp.reduce(inc)
-    return out
+    inc = np.logaddexp(le[:, 1:], le[:, :-1]) + np.log(np.diff(th) / 2.0)
+    return np.logaddexp.reduce(inc, axis=1)
 
 
 def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
@@ -376,15 +382,9 @@ def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
             verdicts[n] = {"monotone": bool(np.max(np.abs(diffs)) < 1e-9),
                            "r_N": float(g.radii[-1]), "sign": 0}
             continue
-        good = expected * diffs > 0
-        idx = len(good)
-        for i in range(len(good)):
-            if not good[i]:
-                idx = i
-                break
-        r_n = float(g.radii[idx]) if idx > 0 else float(g.radii[0])
-        verdicts[n] = {"monotone": bool(idx == len(good)), "r_N": r_n,
-                       "sign": expected}
+        idx = _first_false(expected * diffs > 0)
+        verdicts[n] = {"monotone": idx == len(diffs),
+                       "r_N": float(g.radii[idx]), "sign": expected}
     return {"table": rows, "verdicts": verdicts, "kappa_ratio": kappa_ratio,
             "cos_sign": sign}
 
@@ -395,7 +395,9 @@ def hardy_angular(d: WeightedLineData, inner, outer, g: SectorGrid) -> float:
     """sup_r of C_n(r) = 4·sup_θ ∫_θ^{θ₁'} w · ∫_{θ₀'}^θ w⁻¹ (log-safe).
 
     Requires e^{−Re φ} monotone in θ on the outer sector; bounded by
-    (θ₁'−θ₀')² when it is.
+    (θ₁'−θ₀')² when it is.  Both cumulative integrals are taken on the
+    whole (radii × θ) grid at once; a radius whose C_n(r) is NaN counts
+    as 0.
     """
     th0, th1 = outer
     th = np.linspace(th0, th1, len(g.thetas))
@@ -405,23 +407,19 @@ def hardy_angular(d: WeightedLineData, inner, outer, g: SectorGrid) -> float:
         if not (np.all(s >= -1e-12) or np.all(s <= 1e-12)):
             raise NotMonotone("weight is not θ-monotone on the outer sector")
         increasing = bool(np.mean(s) > 0)
-    best = 0.0
-    for r in g.radii:
-        lw = 2.0 * d.neg_re_phi(np.full_like(th, r), th)
-        # pair the cumulative of w on its small side with that of 1/w on
-        # its own small side, so the product stays bounded by width²/4
-        if increasing:
-            upper = _log_cumtrapz(lw, th, reverse=False)    # ∫_{θ0}^θ w
-            lower = _log_cumtrapz(-lw, th, reverse=True)    # ∫_θ^{θ1} 1/w
-        else:
-            upper = _log_cumtrapz(lw, th, reverse=True)     # ∫_θ^{θ1} w
-            lower = _log_cumtrapz(-lw, th, reverse=False)   # ∫_{θ0}^θ 1/w
-        with np.errstate(invalid="ignore"):
-            c_r = 4.0 * float(np.exp(np.max(upper + lower)))
-        if math.isnan(c_r):
-            c_r = 0.0
-        best = max(best, c_r)
-    return best
+    rr, tt = np.meshgrid(g.radii, th, indexing="ij")
+    lw = 2.0 * d.neg_re_phi(rr, tt)
+    # pair the cumulative of w on its small side with that of 1/w on
+    # its own small side, so the product stays bounded by width²/4
+    if increasing:
+        upper = _log_cumtrapz(lw, th, reverse=False)    # ∫_{θ0}^θ w
+        lower = _log_cumtrapz(-lw, th, reverse=True)    # ∫_θ^{θ1} 1/w
+    else:
+        upper = _log_cumtrapz(lw, th, reverse=True)     # ∫_θ^{θ1} w
+        lower = _log_cumtrapz(-lw, th, reverse=False)   # ∫_{θ0}^θ 1/w
+    with np.errstate(invalid="ignore"):
+        c_r = 4.0 * np.exp(np.max(upper + lower, axis=1))
+    return max(0.0, float(np.max(np.where(np.isnan(c_r), 0.0, c_r))))
 
 
 def default_bump(inner, outer):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDominanceOrder, DomainError
+from .l2lab import smoothstep
 from .sl2 import MetricBlock, ModelMetric, _nilpotent_exp
 
 
@@ -247,12 +248,6 @@ def horizontal_norm_check(mm: ModelMetric, j: int, sector, grid=(40, 40)):
 
 
 # -- Stokes gluing ------------------------------------------------------------
-
-
-def smoothstep(t: float) -> float:
-    """Quintic smoothstep: 0 for t ≤ 0, 1 for t ≥ 1, C² in between."""
-    t = min(1.0, max(0.0, t))
-    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
 def _norm_angle(t: float) -> float:

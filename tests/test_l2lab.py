@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from connexion_lab import catalog
 from connexion_lab.errors import (DomainError, NotMonotone,
                                   SectorContainsCosZero, UnboundedRatio)
-from connexion_lab.l2lab import (SectorGrid, WeightedLineData,
+from connexion_lab.l2lab import (_GL_NODES, _GL_WEIGHTS, SectorGrid,
+                                 WeightedLineData, _cumgauss_theta,
+                                 _first_false, _log_cumtrapz,
                                  build_primitive_angular,
                                  build_primitive_radial, default_bump,
                                  hardy_angular, log_psi, phase_sign_check,
@@ -271,3 +274,289 @@ def test_weighted_line_data_validation():
     bad_tail = PuiseuxSeries(1, {-1: CQ.of(1)}, 8)
     with pytest.raises(DomainError):
         WeightedLineData.create(tail=bad_tail)
+
+
+# -- whole-grid kernels against per-radius reference loops --------------------
+# The references are the row-by-row versions the kernels replaced; the
+# kernels must reproduce them bit for bit.
+
+def ref_log_cumtrapz(logf, x, reverse=False):
+    logf = np.asarray(logf, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if reverse:
+        logf = logf[::-1]
+        x = x[::-1]
+    dx = np.abs(np.diff(x))
+    with np.errstate(divide="ignore"):
+        log_inc = np.logaddexp(logf[1:], logf[:-1]) + np.log(dx / 2.0)
+        out = np.full(len(x), -np.inf)
+        for i in range(1, len(x)):
+            out[i] = np.logaddexp(out[i - 1], log_inc[i - 1])
+    if reverse:
+        out = out[::-1]
+    return out
+
+
+def ref_cumgauss_theta(func, radii, thetas, reverse=False):
+    th = np.asarray(thetas, dtype=float)
+    order = th if not reverse else th[::-1]
+    acc = np.zeros(len(radii))
+    cols = [0.0 * acc]
+    for a, b in zip(order[:-1], order[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        seg = np.zeros(len(radii))
+        for node, wt in zip(_GL_NODES, _GL_WEIGHTS):
+            t = mid + half * node
+            seg = seg + wt * np.asarray(func(radii, np.full_like(radii, t)))
+        acc = acc + half * seg
+        cols.append(acc.copy())
+    res = np.stack(cols, axis=1)
+    if reverse:
+        res = res[:, ::-1]
+    return res
+
+
+def ref_log_psi(d, g, sector=None):
+    if sector is None:
+        sector = (g.thetas[0], g.thetas[-1])
+    th = np.linspace(sector[0], sector[1], len(g.thetas))
+    rr, tt = np.meshgrid(g.radii, th, indexing="ij")
+    le = 2.0 * d.neg_re_phi(rr, tt)
+    out = np.empty(len(g.radii))
+    dth = np.diff(th)
+    for i in range(len(g.radii)):
+        inc = np.logaddexp(le[i, 1:], le[i, :-1]) + np.log(dth / 2.0)
+        out[i] = np.logaddexp.reduce(inc)
+    return out
+
+
+def ref_hardy_angular(d, inner, outer, g):
+    th0, th1 = outer
+    th = np.linspace(th0, th1, len(g.thetas))
+    increasing = False
+    if d.a_ell != 0:
+        s = np.sin(d.tau - d.ell * th)
+        increasing = bool(np.mean(s) > 0)
+    best = 0.0
+    for r in g.radii:
+        lw = 2.0 * d.neg_re_phi(np.full_like(th, r), th)
+        if increasing:
+            upper = ref_log_cumtrapz(lw, th, reverse=False)
+            lower = ref_log_cumtrapz(-lw, th, reverse=True)
+        else:
+            upper = ref_log_cumtrapz(lw, th, reverse=True)
+            lower = ref_log_cumtrapz(-lw, th, reverse=False)
+        with np.errstate(invalid="ignore"):
+            c_r = 4.0 * float(np.exp(np.max(upper + lower)))
+        if math.isnan(c_r):
+            c_r = 0.0
+        best = max(best, c_r)
+    return best
+
+
+def ref_first_false(mask):
+    idx = len(mask)
+    for i in range(len(mask)):
+        if not mask[i]:
+            idx = i
+            break
+    return idx
+
+
+def catalog_weights():
+    out = []
+    for name, entry in catalog.CATALOG.items():
+        if not entry.l2:
+            continue
+        p = entry.l2
+        d = WeightedLineData.create(beta=p["beta"], kappa=p["kappa"],
+                                    ell=p["ell"], a_ell=p["a_ell"],
+                                    sector=p["sector"], r1=0.5)
+        out.append((name, d, p["sector"], p["inner"]))
+    return out
+
+
+def _rows_equal(new, ref_rows):
+    ref = np.stack(ref_rows)
+    assert new.shape == ref.shape
+    assert np.array_equal(new, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_log_cumtrapz_matches_row_loop(reverse):
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.2, 2.1, 40))
+    logf = rng.normal(scale=30.0, size=(7, 40))
+    logf[2, :] = -np.inf                  # a weight that underflows everywhere
+    logf[4, 10:25] = -np.inf              # ... and on a stretch
+    logf[5, 0] = -np.inf
+    new = _log_cumtrapz(logf, x, reverse=reverse)
+    _rows_equal(new, [ref_log_cumtrapz(row, x, reverse) for row in logf])
+    # a 1-D input is one row
+    assert np.array_equal(_log_cumtrapz(logf[0], x, reverse),
+                          ref_log_cumtrapz(logf[0], x, reverse))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_cumgauss_theta_matches_interval_loop(reverse):
+    g = grid((0.3, 1.2), "coarse")
+
+    def func(r, t):  # depends on both r and θ
+        return np.cos(3.0 * t) / (1.0 - np.log(r)) + np.sin(t) * r ** 2
+
+    new = _cumgauss_theta(func, g.radii, g.thetas, reverse=reverse)
+    ref = ref_cumgauss_theta(func, g.radii, g.thetas, reverse=reverse)
+    assert np.array_equal(new, ref)
+    if reverse:
+        assert np.all(new[:, -1] == 0.0)
+    else:
+        assert np.all(new[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_cumgauss_theta_bump_weighted_integrand(reverse):
+    # the integrand build_primitive_angular hands over
+    g = grid((0.2, 2.1), "coarse")
+    chi = default_bump((0.6, 1.7), (0.2, 2.1))
+
+    def weighted(r, t):
+        return chi(t) * (np.cos(2.0 * (t - 0.2)) - np.sin(t - 0.2) * r ** 2)
+
+    assert np.array_equal(
+        _cumgauss_theta(weighted, g.radii, g.thetas, reverse=reverse),
+        ref_cumgauss_theta(weighted, g.radii, g.thetas, reverse=reverse))
+
+
+HARDY_ORIENTATIONS = [
+    # sin(τ − ℓθ) > 0 on (0.3, 1.2): w increasing in θ
+    (dict(a_ell=1.0, ell=1), (0.3, 1.2), (0.5, 1.0), True),
+    # sin(τ − ℓθ) < 0 on (0.3, 1.2): w decreasing in θ
+    (dict(a_ell=-1.0, ell=1), (0.3, 1.2), (0.5, 1.0), False),
+    (dict(a_ell=2.0, ell=2), (1.7, 2.2), (1.8, 2.1), None),
+    (dict(a_ell=0.0, beta=0.5), (0.2, 2.1), (0.6, 1.7), None),]
+
+
+@pytest.mark.parametrize("params,sec,inner,increasing", HARDY_ORIENTATIONS)
+def test_hardy_angular_matches_radius_loop(params, sec, inner, increasing):
+    d = WeightedLineData.create(r1=0.5, sector=sec, **params)
+    if increasing is not None:
+        th = np.linspace(sec[0], sec[1], 17)
+        assert (np.mean(np.sin(d.tau - d.ell * th)) > 0) == increasing
+    for preset in ("coarse", "default"):
+        g = grid(sec, preset)
+        c = hardy_angular(d, inner, sec, g)
+        assert type(c) is float
+        assert c == ref_hardy_angular(d, inner, sec, g)
+
+
+def test_hardy_angular_overflowing_rows():
+    # with |a_ℓ| = 1e300 the log-weight is ±∞ on the innermost radii, so
+    # those rows of the cumulative integrals hold ±∞ and their C_n(r) is
+    # NaN (counted as 0); on the rest w or 1/w underflows to 0
+    sec = (0.3, 1.2)
+    for a_ell in (1e300, -1e300):
+        d = WeightedLineData.create(a_ell=a_ell, ell=1, sector=sec, r1=0.5)
+        g = SectorGrid.make(sector=sec, r1=0.5, shape=(60, 32), r_min=1e-12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
+            lw = 2.0 * d.neg_re_phi(rr, tt)
+            assert np.any(np.isinf(lw[0])) and np.all(np.isfinite(lw[-1]))
+            assert np.all(np.exp(-np.abs(lw)) == 0.0)
+            c = hardy_angular(d, (0.5, 1.0), sec, g)
+            assert c == ref_hardy_angular(d, (0.5, 1.0), sec, g)
+
+
+def test_log_psi_matches_radius_loop():
+    sec = (1.0, 2.0)
+    d = WeightedLineData.create(a_ell=1.0, ell=1, sector=sec, r1=0.5)
+    g = grid(sec, "coarse")
+    assert np.array_equal(log_psi(d, g), ref_log_psi(d, g))
+    assert np.array_equal(log_psi(d, g, (1.7, 2.0)),
+                          ref_log_psi(d, g, (1.7, 2.0)))
+    assert np.array_equal(log_psi(flat(0.5), g), ref_log_psi(flat(0.5), g))
+
+
+@pytest.mark.parametrize("name,d,sec,inner", catalog_weights(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_kernels_match_loops_on_catalog_weights(name, d, sec, inner):
+    g = grid(sec, "coarse")
+    assert np.array_equal(log_psi(d, g), ref_log_psi(d, g))
+    assert hardy_angular(d, inner, sec, g) == \
+        ref_hardy_angular(d, inner, sec, g)
+    rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
+    lw = 2.0 * d.neg_re_phi(rr, tt)
+    for reverse in (False, True):
+        _rows_equal(_log_cumtrapz(lw, g.thetas, reverse),
+                    [ref_log_cumtrapz(row, g.thetas, reverse) for row in lw])
+
+    def integrand(r, t):
+        return np.exp(d.neg_re_phi(r, t)) * np.cos(t)
+
+    for reverse in (False, True):
+        assert np.array_equal(
+            _cumgauss_theta(integrand, g.radii, g.thetas, reverse),
+            ref_cumgauss_theta(integrand, g.radii, g.thetas, reverse))
+
+
+def test_neg_re_phi_flat_is_exact_zero_with_broadcast_shape():
+    d = flat(0.5, 1)
+    r = np.geomspace(1e-6, 0.5, 5)[:, None]
+    th = np.linspace(0.0, 1.0, 3)
+    out = d.neg_re_phi(r, th)
+    assert out.shape == (5, 3)
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    assert d.neg_re_phi(0.1, 0.2).shape == ()
+
+
+@pytest.mark.parametrize("mask", [
+    [True, True, True], [False, True, True], [True, False, True],
+    [True, True, False], [False, False], [], [True]])
+def test_first_false_matches_scan(mask):
+    assert _first_false(np.array(mask, dtype=bool)) == ref_first_false(mask)
+
+
+def ref_phase_sign_check(d, g):
+    rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
+    d_r, d_th = d.grad_neg_re_phi(rr, tt)
+    pred_th = np.sin(d.tau - d.ell * tt)
+    pred_r = -np.cos(d.tau - d.ell * tt)
+    ok = (d_th * pred_th >= -1e-12 * (1 + np.abs(d_th))) \
+        & (d_r * pred_r >= -1e-12 * (1 + np.abs(d_r)))
+    ok_row = np.all(ok, axis=1)
+    r_phi = g.radii[0]
+    for i in range(len(g.radii)):
+        if np.all(ok_row[: i + 1]):
+            r_phi = g.radii[i]
+        else:
+            break
+    return float(r_phi)
+
+
+# a holomorphic tail c·z breaks the sign identities from the radius where
+# it outweighs the leading term: nowhere (c = 0), partway, or on every
+# radius (c = 1e15 already at r_min = 1e-6)
+@pytest.mark.parametrize("c,where", [(0, "none"), (50, "partway"),
+                                     (10 ** 15, "first")])
+def test_first_failing_radius_scans_match_loops(c, where):
+    from connexion_lab.series import CQ, PuiseuxSeries
+    sec = (0.3, 1.2)
+    tail = PuiseuxSeries(1, {1: CQ.of(c)}, 8) if c else None
+    d = WeightedLineData.create(a_ell=1.0, ell=1, tail=tail, sector=sec,
+                                r1=0.5)
+    g = grid(sec, "coarse")
+    r_phi = phase_sign_check(d, g)
+    assert r_phi == ref_phase_sign_check(d, g)
+    expected_r_phi = {"none": g.radii[-1], "first": g.radii[0]}
+    if where in expected_r_phi:
+        assert r_phi == expected_r_phi[where]
+    else:
+        assert g.radii[0] < r_phi < g.radii[-1]
+    out = psi_profile(d, range(-5, 6), g)
+    lp = log_psi(d, g)
+    for n, v in out["verdicts"].items():
+        good = v["sign"] * np.diff(n * np.log(g.radii) + lp) > 0
+        idx = ref_first_false(good)
+        assert v["monotone"] is (idx == len(good))
+        assert v["r_N"] == float(g.radii[idx] if idx > 0 else g.radii[0])
+        if where == "first":
+            assert idx == 0
