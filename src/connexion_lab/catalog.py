@@ -7,7 +7,7 @@ optional Stokes gluing data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ParseError
@@ -18,8 +18,7 @@ from .series import CQ, DEFAULT_BUDGET, PuiseuxSeries
 
 
 def _mono(ram: int, n: int, re, im=0, trunc: int = DEFAULT_BUDGET) -> PuiseuxSeries:
-    c = CQ.of(re, im)
-    return PuiseuxSeries(ram, {n: c} if not c.is_zero else {}, trunc)
+    return PuiseuxSeries(ram, {n: CQ.of(re, im)}, trunc)
 
 
 def _zero(ram: int = 1, trunc: int = DEFAULT_BUDGET) -> PuiseuxSeries:
@@ -40,7 +39,6 @@ class CatalogEntry:
     model: Optional[Callable[[int], ElementaryModel]] = None
     l2: Optional[dict] = None
     gluing: Optional[Callable[[], StokesGluingData]] = None
-    expect: dict = field(default_factory=dict)
 
 
 def _trivial_model(trunc: int) -> ElementaryModel:
@@ -108,7 +106,6 @@ for _entry in (
         model=_trivial_model,
         l2={"beta": 0.0, "kappa": 0, "a_ell": 0.0, "ell": 1,
             "sector": (0.2, 2.1), "inner": (0.6, 1.7)},
-        expect={"ram": 1, "irregularity": [0, 1], "slopes": [[0, 1, 1]]},
     ),
     CatalogEntry(
         name="kummer-half",
@@ -118,8 +115,6 @@ for _entry in (
         model=_kummer_model,
         l2={"beta": 0.5, "kappa": 0, "a_ell": 0.0, "ell": 1,
             "sector": (0.2, 2.1), "inner": (0.6, 1.7)},
-        expect={"ram": 1, "irregularity": [0, 1], "slopes": [[0, 1, 1]],
-                "local_min": [0, 0]},
     ),
     CatalogEntry(
         name="e-inverse-z",
@@ -129,8 +124,6 @@ for _entry in (
         model=_einvz_model,
         l2={"beta": 0.0, "kappa": 0, "a_ell": 1.0, "ell": 1,
             "sector": (0.3, 1.2), "inner": (0.5, 1.0)},
-        expect={"ram": 1, "irregularity": [1, 1], "slopes": [[1, 1, 1]],
-                "local_min": [0, 1]},
     ),
     CatalogEntry(
         name="jordan2-regular",
@@ -138,15 +131,12 @@ for _entry in (
         rank=2,
         germ=_from_model(_jordan2_model),
         model=_jordan2_model,
-        expect={"ram": 1, "irregularity": [0, 1], "slopes": [[0, 1, 2]],
-                "local_min": [1, 0]},
     ),
     CatalogEntry(
         name="airy",
         description="rank-2 Airy germ [[0, 1], [1/z, 0]] (slope 1/2)",
         rank=2,
         germ=_airy_germ,
-        expect={"ram": 2, "irregularity": [1, 1], "slopes": [[1, 2, 2]]},
     ),
     CatalogEntry(
         name="mixed-reg-irr",
@@ -156,8 +146,6 @@ for _entry in (
         model=_mixed_model,
         l2={"beta": 0.0, "kappa": 1, "a_ell": -1.0, "ell": 1,
             "sector": (2.0, 2.9), "inner": (2.25, 2.65)},
-        expect={"ram": 1, "irregularity": [1, 1],
-                "slopes": [[0, 1, 1], [1, 1, 1]]},
     ),
     CatalogEntry(
         name="rank2-stokes",
@@ -166,8 +154,6 @@ for _entry in (
         germ=_from_model(_stokes_model),
         model=_stokes_model,
         gluing=_stokes_gluing,
-        expect={"ram": 1, "irregularity": [2, 1],
-                "slopes": [[1, 1, 2]]},
     ),
 ):
     CATALOG[_entry.name] = _entry

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from . import __version__, catalog, formal, index, l2lab, metric
-from .errors import (ConnexionLabError, NonconvergentQuadrature, NotMonotone,
-                     ParseError, SectorContainsCosZero, UnboundedRatio,
-                     UnstableDimensions)
+from .errors import (ConnexionLabError, DomainError, NonconvergentQuadrature,
+                     NotMonotone, ParseError, SectorContainsCosZero,
+                     UnboundedRatio, UnstableDimensions)
 from .l2lab import SectorGrid, WeightedLineData
 from .model import ElementaryModel, assemble_matrix, \
     germ_or_model_from_dict
@@ -39,7 +39,8 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
+def write_csv(path: str, rows: list[dict]) -> None:
+    """Rows of one report table as CSV, the columns in the first row's order."""
     if not rows:
         return
     with open(path, "w", newline="") as fh:
@@ -49,28 +50,35 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 
 def _config_echo(args) -> dict:
-    return {"trunc": args.trunc, "grid": args.grid, "tol": args.tol,
-            "seed": args.seed, "version": __version__}
+    return {"trunc": args.trunc, "grid": args.grid, "seed": args.seed,
+            "version": __version__}
+
+
+def _read_target(target: str):
+    """(entry, None) for a catalog name, (None, JSON object) for a file."""
+    if target in catalog.CATALOG:
+        return catalog.CATALOG[target], None
+    if not os.path.exists(target):
+        catalog.get_entry(target)  # raises ParseError with a suggestion
+    try:
+        with open(target) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read {target}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{target} does not hold a JSON object")
+    return None, doc
 
 
 def _load_target(target: str, trunc: int):
     """(entry_or_None, germ) from a catalog name or a JSON spec file."""
-    if target in catalog.CATALOG:
-        entry = catalog.CATALOG[target]
+    entry, doc = _read_target(target)
+    if entry is not None:
         return entry, entry.germ(trunc)
-    if os.path.exists(target):
-        try:
-            with open(target) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read spec file {target}: {exc}") from exc
-        obj = germ_or_model_from_dict(doc)
-        if isinstance(obj, ElementaryModel):
-            return None, assemble_matrix(obj, trunc=trunc)
-        return None, obj
-    # unknown name: raises ParseError with a suggestion
-    catalog.get_entry(target)
-    raise AssertionError("unreachable")
+    obj = germ_or_model_from_dict(doc)
+    if isinstance(obj, ElementaryModel):
+        return None, assemble_matrix(obj, trunc=trunc)
+    return None, obj
 
 
 def _digest(target: str) -> str:
@@ -135,44 +143,47 @@ def cmd_analyze(args) -> int:
     }
     _emit(doc, args.out)
     if args.out:
-        _write_csv(os.path.splitext(args.out)[0] + ".metric.csv", rows)
+        write_csv(os.path.splitext(args.out)[0] + ".metric.csv", rows)
     return 0
 
 
-def _l2_data(args):
+def _pair(val) -> tuple:
+    """Two numbers from an l2 parameter file, or ParseError."""
+    if not (isinstance(val, (list, tuple)) and len(val) == 2
+            and all(isinstance(x, (int, float)) for x in val)):
+        raise ParseError(f"expected a pair of numbers, got {val!r}")
+    return tuple(val)
+
+
+def _l2_data(target: str):
     """WeightedLineData + sector/inner bookkeeping from a name or a file."""
-    if args.target in catalog.CATALOG:
-        entry = catalog.CATALOG[args.target]
+    entry, params = _read_target(target)
+    if entry is not None:
         if not entry.l2:
-            raise ParseError(
-                f"catalog entry {args.target!r} has no rank-1 weight data")
-        params = dict(entry.l2)
-    elif os.path.exists(args.target):
-        try:
-            with open(args.target) as fh:
-                params = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read {args.target}: {exc}") from exc
-    else:
-        catalog.get_entry(args.target)
-        raise AssertionError("unreachable")
-    sector = tuple(params.get("sector", (0.0, 2.0 * math.pi)))
-    inner = tuple(params.get("inner",
+            raise ParseError(f"catalog entry {target!r} has no rank-1 weight data")
+        params = entry.l2
+    sector = _pair(params.get("sector", (0.0, 2.0 * math.pi)))
+    inner = _pair(params.get("inner",
                              (sector[0] + 0.25 * (sector[1] - sector[0]),
                               sector[1] - 0.25 * (sector[1] - sector[0]))))
     sub_sector = params.get("sub_sector")
+    if sub_sector is not None:
+        sub_sector = _pair(sub_sector)
     a_ell = params.get("a_ell", 0.0)
     if isinstance(a_ell, (list, tuple)):
-        a_ell = complex(a_ell[0], a_ell[1])
-    d = WeightedLineData.create(
-        beta=params.get("beta", 0.0), kappa=params.get("kappa", 0),
-        ell=params.get("ell", 1), a_ell=a_ell,
-        sector=sector, r1=params.get("r1", 0.5))
+        a_ell = complex(*_pair(a_ell))
+    try:
+        d = WeightedLineData.create(
+            beta=params.get("beta", 0.0), kappa=params.get("kappa", 0),
+            ell=params.get("ell", 1), a_ell=a_ell,
+            sector=sector, r1=params.get("r1", 0.5))
+    except (TypeError, ValueError, DomainError) as exc:
+        raise ParseError(f"bad l2 parameters: {exc}") from exc
     return d, sector, inner, sub_sector
 
 
 def cmd_l2verify(args) -> int:
-    d, sector, inner, sub_sector = _l2_data(args)
+    d, sector, inner, sub_sector = _l2_data(args.target)
     g = SectorGrid.make(sector=sector, r1=d.r1, preset=args.grid)
     width = sector[1] - sector[0]
 
@@ -199,8 +210,8 @@ def cmd_l2verify(args) -> int:
     _emit(doc, args.out)
     if args.out:
         base = os.path.splitext(args.out)[0]
-        _write_csv(base + ".psi.csv", psi["table"])
-        _write_csv(base + ".vanishing.csv", vanish)
+        write_csv(base + ".psi.csv", psi["table"])
+        write_csv(base + ".vanishing.csv", vanish)
     if not excluded and (not hardy_ok or not vanish_ok):
         return EXIT_BOUND
     return 0
@@ -227,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="series truncation budget")
         sp.add_argument("--grid", choices=("coarse", "default", "fine"),
                         default="default", help="quadrature preset")
-        sp.add_argument("--tol", type=float, default=1e-8,
-                        help="float tolerance for report verdicts")
         sp.add_argument("--seed", type=int, default=0,
                         help="Monte Carlo seed")
         sp.add_argument("--out", default=None, help="report output path")

@@ -37,22 +37,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: CQ) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def mat_vec(a: Matrix, v: list[CQ]) -> list[CQ]:
-    return [sum((x * y for x, y in zip(row, v)), CQ_ZERO) for row in a]
-
-
-def to_complex(a: Matrix) -> np.ndarray:
-    return np.array([[x.to_complex() for x in row] for row in a], dtype=complex)
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices)."""
     a = [row[:] for row in m]
@@ -110,33 +94,6 @@ def solve(m: Matrix, rhs: list[CQ]) -> list[CQ] | None:
     for r, pc in enumerate(pivots):
         x[pc] = red[r][cols]
     return x
-
-
-def solve_consistent_part(m: Matrix, rhs: list[CQ]) -> tuple[list[CQ], list[CQ]]:
-    """Split rhs = m·x + resid with resid outside the image.
-
-    Used at resonant orders where the homological equation is singular;
-    any splitting works, the residual is the unremovable part.
-    """
-    x = solve(m, rhs)
-    if x is not None:
-        return x, [CQ_ZERO] * len(rhs)
-    # project rhs onto the image: solve in the least-structure sense by
-    # augmenting with image-basis bookkeeping
-    cols = len(m[0]) if m else 0
-    rows = len(m)
-    # columns of m span the image; find coefficients of the best exact
-    # representation by row reduction of [m | rhs] and zeroing the
-    # inconsistent rows.
-    aug = [m[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    x = [CQ_ZERO] * cols
-    for r, pc in enumerate(pivots):
-        if pc < cols:
-            x[pc] = red[r][cols]
-    mx = mat_vec(m, x)
-    resid = [b - c for b, c in zip(rhs, mx)]
-    return x, resid
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -263,7 +220,3 @@ def nilpotent_partition(n: Matrix) -> list[int]:
     parts.sort(reverse=True)
     return parts
 
-
-def is_nilpotent(m: Matrix) -> bool:
-    cp = charpoly(m)
-    return all(c.is_zero for c in cp[:-1])

@@ -409,15 +409,15 @@ def _merge_blocks(blocks, ram: int) -> ElementaryModel:
     return ElementaryModel(ram, tuple(merged))
 
 
-def formal_decompose(germ: ConnectionGerm, max_ram: int = RAM_GUARD) -> ElementaryModel:
+def formal_decompose(germ: ConnectionGerm) -> ElementaryModel:
     """Elementary model of a germ: slopes, exponential parts, regular data."""
     if germ.rank > RANK_GUARD:
         raise DomainError(f"rank {germ.rank} exceeds the desk-scale guard "
                           f"({RANK_GUARD})")
-    return _decompose(germ, max_ram)
+    return _decompose(germ)
 
 
-def _decompose(germ: ConnectionGerm, max_ram: int) -> ElementaryModel:
+def _decompose(germ: ConnectionGerm) -> ElementaryModel:
     d = germ.rank
     q = germ.ram
     a = germ.matrix
@@ -433,11 +433,11 @@ def _decompose(germ: ConnectionGerm, max_ram: int) -> ElementaryModel:
 
         if s_t.denominator != 1:
             r = s_t.denominator
-            if q * r > max_ram:
+            if q * r > RAM_GUARD:
                 raise RamificationGuardExceeded(
-                    f"needed ramification {q * r} exceeds the guard {max_ram}")
+                    f"needed ramification {q * r} exceeds the guard {RAM_GUARD}")
             sub = ramified_pullback(cur, r)
-            sub_model = _decompose(sub, max_ram)
+            sub_model = _decompose(sub)
             ram_z = lcm(sub_model.ram * r, q)
             blocks = []
             for phi, regs in sub_model.blocks:
@@ -467,7 +467,7 @@ def _decompose(germ: ConnectionGerm, max_ram: int) -> ElementaryModel:
         nonzero = [lam for lam, _ in eigs if not lam.is_zero]
         if len(eigs) >= 2:
             parts = split_by_spectrum(cur)
-            sub_models = [_decompose(p, max_ram) for p in parts]
+            sub_models = [_decompose(p) for p in parts]
             ram_final = q
             for sm in sub_models:
                 ram_final = lcm(ram_final, sm.ram)

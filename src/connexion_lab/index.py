@@ -163,7 +163,7 @@ def global_euler(s: SurfaceSpec) -> int:
     return chi
 
 
-def lefschetz_dims(rep: MonodromyRep, tol: float = 1e-10):
+def lefschetz_dims(rep: MonodromyRep):
     """(h0, h2): common invariants and coinvariants of the representation."""
     if rep.relation_defect() > 1e-10:
         raise DomainError("surface-group relation violated")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DomainError, NonconvergentQuadrature, NotMonotone,
                      SectorContainsCosZero, UnboundedRatio)
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, ps_eval
 
 R_MIN = 1e-6
 
@@ -35,11 +35,11 @@ def smoothstep(t):
 
 # -- data ---------------------------------------------------------------------
 
-def solve_tau(a_ell: complex, ell: int, n: int = 64) -> float:
-    """Fit τ from −Re(a_ℓ z^{−ℓ})·r^ℓ = |a_ℓ| cos(ℓθ − τ) on a θ grid."""
+def solve_tau(a_ell: complex, ell: int) -> float:
+    """Fit τ from −Re(a_ℓ z^{−ℓ})·r^ℓ = |a_ℓ| cos(ℓθ − τ) on a 64-point θ grid."""
     if a_ell == 0:
         return 0.0
-    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     target = -np.real(a_ell * np.exp(-1j * ell * thetas))
     design = np.column_stack([np.cos(ell * thetas), np.sin(ell * thetas)])
     c, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
@@ -99,14 +99,11 @@ class WeightedLineData:
         has_tail = self.tail is not None and not self.tail.is_zero
         if self.a_ell == 0 and not has_tail:
             return out
-        z = r * np.exp(1j * theta)
         if self.a_ell != 0:
+            z = r * np.exp(1j * theta)
             out = out - np.real(self.a_ell * z ** (-self.ell))
         if has_tail:
-            acc = np.zeros_like(out, dtype=complex)
-            for n, c in self.tail.terms.items():
-                acc = acc + c.to_complex() * z ** (n / self.tail.ram)
-            out = out - acc.real
+            out = out - ps_eval(self.tail, np.log(r) + 1j * theta).real
         return out
 
     def grad_neg_re_phi(self, r, theta):
@@ -154,10 +151,6 @@ class SectorGrid:
 
 
 _np_trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-def _trapz(vals, x, axis=-1):
-    return _np_trapz(vals, x, axis=axis)
 
 
 _GL_NODES = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
@@ -271,8 +264,8 @@ def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
         vals = np.where(sq > 0, sq * w, 0.0)
     if np.any(np.isinf(vals)):
         return math.inf
-    inner = _trapz(vals, g.thetas, axis=1)
-    total = float(_trapz(inner[::-1], g.u[::-1], axis=0))
+    inner = _np_trapz(vals, g.thetas, axis=1)
+    total = float(_np_trapz(inner[::-1], g.u[::-1], axis=0))
     # analytic remainder below r_min: freeze the sample and the phase factor
     with np.errstate(invalid="ignore", over="ignore"):
         phase_edge = np.exp(2.0 * d.neg_re_phi(g.radii[0], g.thetas))
@@ -281,7 +274,7 @@ def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
     if np.any(edge > 0):
         if not (math.isfinite(tail_w) and np.all(np.isfinite(edge))):
             return math.inf
-        total += float(_trapz(edge, g.thetas)) * tail_w
+        total += float(_np_trapz(edge, g.thetas)) * tail_w
     return total
 
 
@@ -435,13 +428,13 @@ def default_bump(inner, outer):
     return chi
 
 
-def build_primitive_angular(omega, d: WeightedLineData, g: SectorGrid,
-                            inner, outer=None, chi=None):
-    """u(r,θ) = ∫ χ g_θ dθ from the monotone end; returns samples + checks."""
-    if outer is None:
-        outer = (float(g.thetas[0]), float(g.thetas[-1]))
-    if chi is None:
-        chi = default_bump(inner, outer)
+def build_primitive_angular(omega, d: WeightedLineData, g: SectorGrid, inner):
+    """u(r,θ) = ∫ χ g_θ dθ from the monotone end; returns samples + checks.
+
+    χ is the default bump, 1 on the inner sector and 0 outside the grid's.
+    """
+    outer = (float(g.thetas[0]), float(g.thetas[-1]))
+    chi = default_bump(inner, outer)
     f = _eval_samples(omega[0], g)
     gt = _eval_samples(omega[1], g)
     th = g.thetas

@@ -2,13 +2,15 @@
 
 All formulas are closed-form in a(z) = |log z z̄| and the sl2 data of the
 adapted frame; matrix exponentials of the nilpotent pieces are finite
-sums, so the only numerical error is float rounding.
+sums, so the only numerical error is float rounding.  The weights and
+the exponentials e^{±X}, e^{−Y} of a block are cached on its
+``MetricBlock``, so they are built once per block, not once per point;
+``_orthonormal`` is the one change to the orthonormal frame.
 """
 
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import BadDominanceOrder, DomainError
 from .l2lab import smoothstep
+from .series import ps_eval
 from .sl2 import MetricBlock, ModelMetric, _nilpotent_exp
 
 
@@ -30,16 +33,6 @@ def _check_domain(z) -> None:
         raise DomainError("metric evaluation needs 0 < |z| < 1")
 
 
-def _block_K(block: MetricBlock, z: np.ndarray) -> np.ndarray:
-    """Stacked K over the batch axis for one block."""
-    a = 2.0 * np.abs(np.log(np.abs(z)))
-    w = block.weights
-    e = block.exp_neg_y @ block.exp_neg_x
-    half = 0.5 * (w[:, None] + w[None, :])
-    scal = np.abs(z) ** (-2.0 * float(block.alpha.re))
-    return scal[:, None, None] * (a[:, None, None] ** half[None, :, :]) * e[None, :, :]
-
-
 def eval_metric(mm: ModelMetric, z):
     """(K, K1) at z; z may be a scalar or an array (batched on axis 0)."""
     _check_domain(z)
@@ -47,14 +40,17 @@ def eval_metric(mm: ModelMetric, z):
     n, d = zs.shape[0], mm.rank
     k = np.zeros((n, d, d), dtype=complex)
     k1 = np.zeros((n, d, d), dtype=complex)
-    a = 2.0 * np.abs(np.log(np.abs(zs)))
+    a = poincare_a(zs)
     for b in mm.blocks:
-        sl = slice(b.offset, b.offset + b.size)
-        k[:, sl, sl] = _block_K(b, zs)
+        w = b.weights
         scal = np.abs(zs) ** (-2.0 * float(b.alpha.re))
-        k1_diag = scal[:, None] * a[:, None] ** b.weights[None, :]
-        for j in range(b.size):
-            k1[:, b.offset + j, b.offset + j] = k1_diag[:, j]
+        half = 0.5 * (w[:, None] + w[None, :])
+        e = b.exp_neg_y @ b.exp_neg_x
+        sl = slice(b.offset, b.offset + b.size)
+        k[:, sl, sl] = (scal[:, None, None] * (a[:, None, None] ** half[None, :, :])
+                        * e[None, :, :])
+        diag = np.arange(b.offset, b.offset + b.size)
+        k1[:, diag, diag] = scal[:, None] * a[:, None] ** w[None, :]
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return k[0], k1[0]
     return k, k1
@@ -79,7 +75,6 @@ def connection_and_curvature(mm: ModelMetric, z):
     _check_domain(z)
     a = poincare_a(complex(z))
     m_blocks, r_blocks, ro_blocks = [], [], []
-    wmax = 0.0
     for b in mm.blocks:
         h = np.diag(b.weights)
         x, y = b.triple.x, b.triple.y
@@ -87,8 +82,6 @@ def connection_and_curvature(mm: ModelMetric, z):
         m_blocks.append(-ap * np.eye(b.size) - y - 2 * h / a + 2 * x / a ** 2)
         r_blocks.append(2 * h / a ** 2 - 4 * x / a ** 3)
         ro_blocks.append(2 * h / a ** 2)
-        if b.size:
-            wmax = max(wmax, float(np.max(np.abs(b.weights))))
     d = mm.rank
     m_k = _block_diag(m_blocks, d)
     r = _block_diag(r_blocks, d)
@@ -105,7 +98,7 @@ def curvature_knorm_ratio(mm: ModelMetric, z) -> np.ndarray:
     """
     _check_domain(z)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    a = 2.0 * np.abs(np.log(np.abs(zs)))
+    a = poincare_a(zs)
     d = mm.rank
     out = np.zeros(len(zs))
     for i, ai in enumerate(a):
@@ -114,22 +107,24 @@ def curvature_knorm_ratio(mm: ModelMetric, z) -> np.ndarray:
             h = np.diag(b.weights)
             x = b.triple.x
             r = 2 * h / ai ** 2 - 4 * x / ai ** 3
-            # conjugate into the orthonormal frame e·P
-            exp_x = _nilpotent_exp(x, 1.0)
-            exp_mx = _nilpotent_exp(x, -1.0)
-            ah = np.diag(ai ** (b.weights / 2.0))
-            ahm = np.diag(ai ** (-b.weights / 2.0))
-            blocks.append(exp_mx @ ah @ r @ ahm @ exp_x)
+            blocks.append(_orthonormal(b, ai, r)[0])
         out[i] = np.linalg.norm(_block_diag(blocks, d), 2) * ai ** 2
     return out if len(out) > 1 else out[0]
 
 
-def _zphi_prime(block: MetricBlock, z: complex, ram: int, branch: int = 0) -> complex:
+def _orthonormal(block: MetricBlock, a: float, *mats) -> list[np.ndarray]:
+    """Each matrix in the orthonormal frame e·P: e^{−X}·a^{H/2}·M·a^{−H/2}·e^{X}."""
+    ah = np.diag(a ** (block.weights / 2.0))
+    ahm = np.diag(a ** (-block.weights / 2.0))
+    return [block.exp_neg_x @ ah @ m @ ahm @ block.exp_x for m in mats]
+
+
+def _zphi_prime(block: MetricBlock, z: complex) -> complex:
     """z·φ′(z) evaluated from the stored series."""
     phi = block.phi
     if phi.is_zero:
         return 0.0 + 0.0j
-    t = cmath.exp((cmath.log(z) + 2j * cmath.pi * branch) / phi.ram)
+    t = cmath.exp(cmath.log(z) / phi.ram)
     acc = 0.0 + 0.0j
     for n, c in phi.terms.items():
         acc += c.to_complex() * (n / phi.ram) * t ** n
@@ -137,23 +132,13 @@ def _zphi_prime(block: MetricBlock, z: complex, ram: int, branch: int = 0) -> co
 
 
 def _theta_block(block: MetricBlock, a: float, zphi: complex):
-    """(Θ, N^{0,1}, M^{0,1}) of one block at a given value of a."""
-    m = block.size
-    h = np.diag(block.weights)
-    x, y = block.triple.x, block.triple.y
+    """(Θ, N^{0,1}) of one block at a given value of a."""
     al = block.alpha.to_complex()
     ap = al.real
-    exp_x = _nilpotent_exp(x, 1.0)
-    exp_mx = _nilpotent_exp(x, -1.0)
-    ah = np.diag(a ** (block.weights / 2.0))
-    ahm = np.diag(a ** (-block.weights / 2.0))
-
-    def conj(b):
-        return exp_mx @ ah @ b @ ahm @ exp_x
-
-    eye = np.eye(m)
-    m10 = conj(y) + (-al + zphi + ap / 2.0) * eye + conj(h) / (2 * a)
-    m01 = (ap / 2.0) * eye + conj(h) / (2 * a)
+    y, h = _orthonormal(block, a, block.triple.y, np.diag(block.weights))
+    eye = np.eye(block.size)
+    m10 = y + (-al + zphi + ap / 2.0) * eye + h / (2 * a)
+    m01 = (ap / 2.0) * eye + h / (2 * a)
     theta = 0.5 * (m10 + m01.conj().T)
     n01 = m01 - theta.conj().T
     return theta, n01
@@ -171,7 +156,7 @@ def pseudo_curvature(mm: ModelMetric, z) -> np.ndarray:
     a = poincare_a(zc)
     g_blocks = []
     for b in mm.blocks:
-        zphi = _zphi_prime(b, zc, mm.ram)
+        zphi = _zphi_prime(b, zc)
         theta, n01 = _theta_block(b, a, zphi)
         theta2, _ = _theta_block(b, 2 * a, zphi)
         s1 = 2 * a * (theta - theta2)
@@ -193,18 +178,6 @@ def higgs_field(mm: ModelMetric) -> np.ndarray:
         app = float(b.alpha.im)
         blocks.append((-0.5j * app) * np.eye(b.size) + b.triple.y)
     return _block_diag(blocks, mm.rank)
-
-
-def _phi_at(phi, z: complex, theta: float) -> complex:
-    """φ(z) with the branch of log z pinned to the given angle."""
-    if phi.is_zero:
-        return 0.0 + 0.0j
-    logz = math.log(abs(z)) + 1j * theta
-    t = cmath.exp(logz / phi.ram)
-    acc = 0.0 + 0.0j
-    for n, c in phi.terms.items():
-        acc += c.to_complex() * t ** n
-    return acc
 
 
 def horizontal_norm_check(mm: ModelMetric, j: int, sector, grid=(40, 40)):
@@ -309,8 +282,9 @@ def _mu_matrix(mm: ModelMetric, consts: dict, z: complex, theta: float) -> np.nd
     phis = mm.vector_phis()
     d = mm.rank
     mu = np.zeros((d, d), dtype=complex)
+    lz = math.log(abs(z)) + 1j * theta  # the branch of log z pinned to θ
     for (i, j), c in consts.items():
-        diff = _phi_at(phis[i], z, theta) - _phi_at(phis[j], z, theta)
+        diff = ps_eval(phis[i], lz) - ps_eval(phis[j], lz)
         if diff.real >= 0.0:
             raise BadDominanceOrder(
                 f"Re(φ_{i} − φ_{j}) = {diff.real:.3g} ≥ 0 at arg z = {theta:.3f}")
@@ -342,7 +316,8 @@ def glued_transition_det(mm: ModelMetric, gd: StokesGluingData, z) -> float:
         return 1.0
     mu = _mu_matrix(mm, gd.constants[ell], zc, theta)
     phis = mm.vector_phis()
-    re = [_phi_at(p, zc, theta).real for p in phis]
+    lz = math.log(abs(zc)) + 1j * theta
+    re = [ps_eval(p, lz).real for p in phis]
     order = sorted(range(len(re)), key=lambda i: re[i])
     perm = mu[np.ix_(order, order)]
     # nonzero entries need Re φ_row < Re φ_col: strictly upper triangular
@@ -360,9 +335,8 @@ def glued_metric(mm: ModelMetric, gd: StokesGluingData, z) -> np.ndarray:
     return g_inv.conj().T @ k @ g_inv
 
 
-def metric_report(mm: ModelMetric, zs, gd: StokesGluingData | None = None,
-                  path=None):
-    """Diagnostic rows (and optional CSV) for a batch of sample points."""
+def metric_report(mm: ModelMetric, zs, gd: StokesGluingData | None = None):
+    """Diagnostic rows for a batch of sample points."""
     rows = []
     for z in np.atleast_1d(np.asarray(zs, dtype=complex)):
         k, _ = eval_metric(mm, complex(z))
@@ -380,17 +354,13 @@ def metric_report(mm: ModelMetric, zs, gd: StokesGluingData | None = None,
             "det_K": det_k, "ratio": float(ratio),
             "pseudo_norm": pseudo, "glued_delta": delta,
         })
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
     return rows
 
 
-def fd_curvature_check(mm: ModelMetric, z, h: float = 1e-5) -> float:
+def fd_curvature_check(mm: ModelMetric, z) -> float:
     """Max |FD z̄∂_{z̄}M_k + R| — the finite-difference oracle for R."""
     zc = complex(z)
+    h = 1e-5
 
     def m_of(p):
         return connection_and_curvature(mm, p)[0]

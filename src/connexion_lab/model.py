@@ -16,6 +16,7 @@ from math import lcm
 
 import numpy as np
 
+from . import exactla
 from .errors import IrrationalRootOfUnity, ParseError
 from .series import (CQ, CQ_ZERO, CQ_ONE, PuiseuxSeries, _as_fraction, common_ram,
                      ps_add, ps_derive, ps_eq_to_trunc, ps_from_literal, ps_mul,
@@ -57,10 +58,6 @@ def smat_mul(a: SMatrix, b: SMatrix) -> SMatrix:
     return out
 
 
-def smat_scale(a: SMatrix, s: PuiseuxSeries) -> SMatrix:
-    return [[ps_mul(s, x) for x in row] for row in a]
-
-
 def smat_derive(a: SMatrix) -> SMatrix:
     return [[ps_derive(x) for x in row] for row in a]
 
@@ -72,11 +69,7 @@ def smat_from_const(m, ram: int, trunc: int) -> SMatrix:
 
 
 def smat_eye(d: int, ram: int, trunc: int) -> SMatrix:
-    out = []
-    for i in range(d):
-        out.append([PuiseuxSeries(ram, {0: CQ_ONE} if i == j else {}, trunc)
-                    for j in range(d)])
-    return out
+    return smat_from_const(exactla.eye(d), ram, trunc)
 
 
 def smat_min_val(a: SMatrix) -> int | None:
@@ -95,8 +88,6 @@ def smat_coeff(a: SMatrix, n: int):
 
 def smat_neumann_inverse(a: SMatrix) -> SMatrix:
     """Inverse of a series matrix of the shape C·(I + T) with val(T) >= 1."""
-    from . import exactla
-
     d = len(a)
     ram = a[0][0].ram
     trunc = smat_min_trunc(a)
@@ -118,7 +109,7 @@ def smat_neumann_inverse(a: SMatrix) -> SMatrix:
     return smat_mul(acc, cinv_s)
 
 
-def gauge_transform(a: SMatrix, g: SMatrix, g_inv: SMatrix | None = None) -> SMatrix:
+def gauge_transform(a: SMatrix, g: SMatrix) -> SMatrix:
     """A ↦ G⁻¹·A·G − G⁻¹·(z∂G) for a general gauge G.
 
     Full series-matrix products plus a Neumann-series inverse, about
@@ -126,8 +117,7 @@ def gauge_transform(a: SMatrix, g: SMatrix, g_inv: SMatrix | None = None) -> SMa
     I + X·tᵐ with ``unipotent_gauge`` instead; this stays the general
     gauge and the oracle that ``unipotent_gauge`` is tested against.
     """
-    if g_inv is None:
-        g_inv = smat_neumann_inverse(g)
+    g_inv = smat_neumann_inverse(g)
     return smat_sub(smat_mul(g_inv, smat_mul(a, g)),
                     smat_mul(g_inv, smat_derive(g)))
 
@@ -151,8 +141,6 @@ def unipotent_gauge(a: SMatrix, x, m: int, trunc: int) -> SMatrix:
     agrees with the exact G⁻¹·(AG − (m/q)·X·tᵐ), so the recurrence gives
     every stored coefficient.
     """
-    from . import exactla
-
     d = len(a)
     q = a[0][0].ram
     if trunc < 0:
@@ -254,6 +242,8 @@ class RegularBlockData:
 
     def monodromy(self) -> np.ndarray:
         """T = e^{−2πiα}·T_u with T_u unipotent from the partition."""
+        from .sl2 import _nilpotent_exp
+
         d = self.rank
         n = np.zeros((d, d))
         pos = 0
@@ -261,13 +251,8 @@ class RegularBlockData:
             for j in range(p - 1):
                 n[pos + j + 1, pos + j] = 1.0
             pos += p
-        tu = np.eye(d)
-        pw = np.eye(d)
-        for k in range(1, d):
-            pw = pw @ (2j * np.pi * n) / k
-            tu = tu + pw
         lam = cmath.exp(-2j * cmath.pi * self.alpha.to_complex())
-        return lam * tu
+        return lam * _nilpotent_exp(n, 2j * np.pi)
 
     def unit_monodromy_kernel_dim(self) -> int:
         """dim ker(T − Id): the number of Jordan blocks when α = 0."""
@@ -395,27 +380,18 @@ def sigma_pullback(m: ElementaryModel, k: int) -> ElementaryModel:
 
 
 def _rotation_matches(phi_a: PuiseuxSeries, phi_b: PuiseuxSeries, k: int) -> bool:
-    """Exact check of φ_b = φ_a∘σ^k, staying symbolic about roots of unity."""
+    """Exact check of φ_b = φ_a∘σ^k up to the shared truncation.
+
+    φ_a is cut at that truncation first, so a term above it never meets an
+    irrational ζ^j; below it, a term that does cannot match a Gaussian
+    rational.
+    """
     a, b = common_ram(phi_a, phi_b)
-    q = a.ram
-    n_max = min(a.trunc, b.trunc)
-    for n in set(a.terms) | set(b.terms):
-        if n > n_max:
-            continue
-        ca, cb = a.coeff(n), b.coeff(n)
-        j = (k * n) % q
-        if j == 0:
-            if not (ca - cb).is_zero:
-                return False
-        elif (4 * j) % q == 0:
-            if not (ca * quarter_root(4 * j // q) - cb).is_zero:
-                return False
-        else:
-            # ζ^j is irrational; two Gaussian-rational coefficients can
-            # only be related by it when both vanish
-            if not (ca.is_zero and cb.is_zero):
-                return False
-    return True
+    a = PuiseuxSeries(a.ram, a.terms, min(a.trunc, b.trunc))
+    try:
+        return ps_eq_to_trunc(_rotate_series(a, k), b)
+    except IrrationalRootOfUnity:
+        return False
 
 
 @dataclass(frozen=True)
@@ -482,6 +458,8 @@ def germ_or_model_from_dict(doc):
             raise ParseError(f"bad matrix spec: {exc}") from exc
         if len(matrix) != rank or any(len(r) != rank for r in matrix):
             raise ParseError("matrix shape does not match the declared rank")
+        if rank < 1:
+            raise ParseError("a connection needs rank >= 1")
         return ConnectionGerm.from_matrix(matrix)
     if form == "elementary":
         try:
@@ -498,6 +476,8 @@ def germ_or_model_from_dict(doc):
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad elementary spec: {exc}") from exc
+        if not blocks:
+            raise ParseError("an elementary model needs at least one block")
         try:
             return ElementaryModel(ram, tuple(blocks))
         except ValueError as exc:

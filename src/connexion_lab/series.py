@@ -9,12 +9,13 @@ assumed zero.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .errors import ParseError, ZeroLeadingTerm
 
@@ -116,38 +117,6 @@ class PuiseuxSeries:
     def __setattr__(self, *a):
         raise AttributeError("PuiseuxSeries is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(ram: int = 1, trunc: int = DEFAULT_BUDGET) -> "PuiseuxSeries":
-        return PuiseuxSeries(ram, {}, trunc)
-
-    @staticmethod
-    def one(ram: int = 1, trunc: int | None = None) -> "PuiseuxSeries":
-        return PuiseuxSeries.monomial(0, CQ_ONE, ram, trunc)
-
-    @staticmethod
-    def monomial(n: int, coeff: CQ = CQ_ONE, ram: int = 1,
-                 trunc: int | None = None) -> "PuiseuxSeries":
-        if trunc is None:
-            trunc = n + DEFAULT_BUDGET
-        return PuiseuxSeries(ram, {n: coeff}, trunc)
-
-    @staticmethod
-    def from_terms(terms: Iterable[tuple[int, CQ]], ram: int = 1,
-                   trunc: int | None = None) -> "PuiseuxSeries":
-        d = {}
-        for n, c in terms:
-            d[n] = d.get(n, CQ_ZERO) + c
-        if trunc is None:
-            nz = [n for n, c in d.items() if not c.is_zero]
-            trunc = (min(nz) if nz else 0) + DEFAULT_BUDGET
-        return PuiseuxSeries(ram, d, trunc)
-
-    @staticmethod
-    def constant(c: CQ, ram: int = 1, trunc: int | None = None) -> "PuiseuxSeries":
-        return PuiseuxSeries.monomial(0, c, ram, trunc)
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -161,11 +130,6 @@ class PuiseuxSeries:
     def val_or_trunc(self) -> int:
         v = self.valuation()
         return v if v is not None else self.trunc
-
-    def val_z(self) -> Fraction | None:
-        """Valuation in z-units (n/q)."""
-        v = self.valuation()
-        return None if v is None else Fraction(v, self.ram)
 
     def coeff(self, n: int) -> CQ:
         return self.terms.get(n, CQ_ZERO)
@@ -298,8 +262,8 @@ def ps_inverse(a: PuiseuxSeries) -> PuiseuxSeries:
     inv_c0 = CQ_ONE / c0
     u_terms = {n - v: inv_c0 * c for n, c in a.terms.items() if n != v}
     u = PuiseuxSeries(a.ram, u_terms, rel)
-    acc = PuiseuxSeries.one(a.ram, rel)
-    pw = PuiseuxSeries.one(a.ram, rel)
+    acc = PuiseuxSeries(a.ram, {0: CQ_ONE}, rel)
+    pw = acc
     k = 0
     while not pw.is_zero and k * (u.val_or_trunc() or 1) <= rel:
         k += 1
@@ -324,15 +288,34 @@ def ps_eq_to_trunc(a: PuiseuxSeries, b: PuiseuxSeries) -> bool:
     return True
 
 
-def ps_eval(a: PuiseuxSeries, z: complex, branch: int = 0) -> complex:
-    """Evaluate at a complex point; branch fixes t = exp((Log z + 2πi·branch)/q)."""
-    if z == 0:
-        raise ZeroDivisionError("cannot evaluate a Puiseux series at 0")
-    if a.ram == 1:
-        t = z
-    else:
-        t = cmath.exp((cmath.log(z) + 2j * math.pi * branch) / a.ram)
-    return sum((c.to_complex() * t ** n for n, c in a.terms.items()), 0j)
+def ps_eval(a: PuiseuxSeries, log_z):
+    """Σ cₙ·tⁿ at t = e^{log_z/q}; log_z, a scalar or an array, fixes the branch.
+
+    Every step rounds as Python's complex arithmetic does: numpy's power
+    squares as Python's does for |n| < 100, and the quotient 1/tⁿ and the
+    products are written out on the real and imaginary parts (numpy's
+    complex division and multiplication round differently).  A scalar
+    result therefore equals the term-by-term loop over Python complex
+    numbers bit for bit.
+    """
+    lz = np.asarray(log_z, dtype=complex)
+    t = np.exp(lz.real / a.ram + 1j * (lz.imag / a.ram))
+    re = im = 0.0
+    for n, c in a.terms.items():
+        p = np.power(t, abs(n))
+        x, y = p.real, p.imag
+        if n < 0:  # Smith's quotient 1/(x + iy), dividing by the larger part
+            big = np.abs(x) >= np.abs(y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rat = np.where(big, y / x, x / y)
+                den = np.where(big, x + y * rat, x * rat + y)
+                x, y = (np.where(big, 1.0, rat + 0.0) / den,
+                        np.where(big, 0.0 - rat, -1.0) / den)
+        cr, ci = float(c.re), float(c.im)
+        re, im = re + (cr * x - ci * y), im + (cr * y + ci * x)
+    out = np.empty(lz.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out if out.ndim else complex(out)
 
 
 # -- literal (wire) format ----------------------------------------------

@@ -9,6 +9,7 @@ that the commutation relations can be checked without floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -83,7 +84,8 @@ def triple_for_partition(partition) -> Sl2Triple:
     return Sl2Triple(parts, tuple(weights), tuple(c_sq))
 
 
-def _nilpotent_exp(n: np.ndarray, sign: float) -> np.ndarray:
+def _nilpotent_exp(n: np.ndarray, sign: complex) -> np.ndarray:
+    """exp(sign·N) for a nilpotent N, as the finite sum over its powers."""
     d = n.shape[0]
     out = np.eye(d)
     pw = np.eye(d)
@@ -93,12 +95,19 @@ def _nilpotent_exp(n: np.ndarray, sign: float) -> np.ndarray:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class MetricBlock:
     """One (φ, α, partition) summand with its frame data.
 
-    offset is the position of the block inside the full frame; the
-    cached exponentials enter the closed-form metric evaluation.
+    offset is the position of the block inside the full frame.  The
+    weights and the exponentials e^{±X}, e^{−Y} are built once per block
+    and cached read-only; they enter the closed-form metric evaluation and
+    the change to the orthonormal frame.
     """
 
     phi: PuiseuxSeries
@@ -110,17 +119,21 @@ class MetricBlock:
     def size(self) -> int:
         return self.triple.size
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array(self.triple.weights, dtype=float)
+        return _read_only(np.array(self.triple.weights, dtype=float))
 
-    @property
-    def exp_neg_y(self) -> np.ndarray:
-        return _nilpotent_exp(self.triple.y, -1.0)
+    @cached_property
+    def exp_x(self) -> np.ndarray:
+        return _read_only(_nilpotent_exp(self.triple.x, 1.0))
 
-    @property
+    @cached_property
     def exp_neg_x(self) -> np.ndarray:
-        return _nilpotent_exp(self.triple.x, -1.0)
+        return _read_only(_nilpotent_exp(self.triple.x, -1.0))
+
+    @cached_property
+    def exp_neg_y(self) -> np.ndarray:
+        return _read_only(_nilpotent_exp(self.triple.y, -1.0))
 
 
 @dataclass(frozen=True)

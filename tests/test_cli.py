@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from connexion_lab.cli import main
 
@@ -59,10 +60,16 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, _ = run(capsys, "analyze", str(bad))
     assert code == 2
-    bad2 = tmp_path / "bad2.json"
-    bad2.write_text(json.dumps({"form": "matrix", "rank": 2, "matrix": []}))
-    code, _, _ = run(capsys, "analyze", str(bad2))
-    assert code == 2
+    for i, spec in enumerate([
+            {"form": "matrix", "rank": 2, "matrix": []},
+            {"form": "matrix", "rank": 0, "matrix": []},
+            {"form": "elementary", "blocks": []},
+            [{"form": "matrix", "rank": 0, "matrix": []}]]):
+        bad2 = tmp_path / f"bad2-{i}.json"
+        bad2.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "analyze", str(bad2))
+        assert code == 2, spec
+        assert err.startswith("error:"), err
 
 
 def test_zero_denominator_in_series_term_exits_2(tmp_path, capsys):
@@ -148,6 +155,26 @@ def test_l2verify_cos_zero_sector_exits_5(tmp_path, capsys):
     code, _, err = run(capsys, "l2verify", str(path))
     assert code == 5
     assert "SectorContainsCosZero" in err
+
+
+@pytest.mark.parametrize("params", [
+    [{"a_ell": 1.0}],
+    {"sector": [0.1]},
+    {"sector": "ab"},
+    {"inner": [0.5, None]},
+    {"sub_sector": 1.0},
+    {"a_ell": [1]},
+    {"a_ell": "x"},
+    {"beta": "x"},
+    {"kappa": None},
+    {"r1": 2},
+])
+def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run(capsys, "l2verify", str(path), "--grid", "coarse")
+    assert code == 2
+    assert out == "" and err.startswith("error:"), err
 
 
 def test_l2verify_entry_without_data_exits_2(capsys):

@@ -508,6 +508,61 @@ def test_neg_re_phi_flat_is_exact_zero_with_broadcast_shape():
     assert d.neg_re_phi(0.1, 0.2).shape == ()
 
 
+def ref_neg_re_phi(d, r, theta):
+    """neg_re_phi as it was: the tail summed term by term in z = r·e^{iθ}."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(np.broadcast(r, theta).shape)
+    has_tail = d.tail is not None and not d.tail.is_zero
+    if d.a_ell == 0 and not has_tail:
+        return out
+    z = r * np.exp(1j * theta)
+    if d.a_ell != 0:
+        out = out - np.real(d.a_ell * z ** (-d.ell))
+    if has_tail:
+        acc = np.zeros_like(out, dtype=complex)
+        for n, c in d.tail.terms.items():
+            acc = acc + c.to_complex() * z ** (n / d.tail.ram)
+        out = out - acc.real
+    return out
+
+
+def test_neg_re_phi_tail_matches_term_loop():
+    """The tail now goes through series.ps_eval at t = e^{log r + iθ}.
+
+    e^{log r} carries the rounding of log r, so tⁿ is off by up to about
+    n·|log r| ulp where rⁿ is not: each term may move by 4 ulp of
+    |cₙ|·rⁿ·(1 + n·|log r|).  Without a tail the bits are unchanged.
+    """
+    from fractions import Fraction
+
+    from connexion_lab.series import CQ, PuiseuxSeries
+
+    rng = np.random.default_rng(8)
+    r = np.geomspace(1e-6, 0.99, 80)[:, None]
+    th = np.linspace(-7.0, 7.0, 64)[None, :]
+    eps = np.finfo(float).eps
+    for trial in range(60):
+        terms = {int(n): CQ(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))),
+                            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))))
+                 for n in rng.integers(0, 9, size=rng.integers(1, 5))}
+        tail = PuiseuxSeries(1, terms, 8)
+        a_ell = complex(*rng.uniform(-2, 2, 2)) if trial % 2 else 0.0
+        d = WeightedLineData.create(a_ell=a_ell, ell=1 + trial % 3, tail=tail,
+                                    sector=(0.0, 6.0))
+        bound = 4 * eps * sum(abs(c.to_complex()) * r ** n * (1 + n * abs(np.log(r)))
+                              for n, c in tail.terms.items())
+        ref = ref_neg_re_phi(d, r, th)
+        # and one ulp of the result, where the tail is subtracted from the
+        # leading term
+        assert np.all(np.abs(d.neg_re_phi(r, th) - ref)
+                      <= bound + np.spacing(np.abs(ref)))
+        if a_ell:
+            d = WeightedLineData.create(a_ell=a_ell, ell=1 + trial % 3,
+                                        sector=(0.0, 6.0))
+            assert np.array_equal(d.neg_re_phi(r, th), ref_neg_re_phi(d, r, th))
+
+
 @pytest.mark.parametrize("mask", [
     [True, True, True], [False, True, True], [True, False, True],
     [True, True, False], [False, False], [], [True]])

@@ -1,11 +1,14 @@
 """Model metric evaluation, curvature identities, gluing."""
 
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from connexion_lab import catalog
+from connexion_lab.cli import write_csv
 from connexion_lab.errors import BadDominanceOrder, DomainError
 from connexion_lab.formal import formal_decompose
 from connexion_lab.metric import (StokesGluingData, connection_and_curvature,
@@ -13,10 +16,11 @@ from connexion_lab.metric import (StokesGluingData, connection_and_curvature,
                                   fd_curvature_check, glued_metric,
                                   glued_transition, glued_transition_det,
                                   higgs_field, horizontal_norm_check,
-                                  metric_report, poincare_a, pseudo_curvature)
+                                  metric_report, poincare_a, pseudo_curvature,
+                                  _block_diag)
 from connexion_lab.model import ElementaryModel, RegularBlockData
-from connexion_lab.series import CQ, PuiseuxSeries
-from connexion_lab.sl2 import adapted_metric_frame
+from connexion_lab.series import CQ, PuiseuxSeries, ps_add, ps_eval
+from connexion_lab.sl2 import _nilpotent_exp, adapted_metric_frame
 
 TR = 24
 
@@ -187,9 +191,211 @@ def test_glued_metric_decay_exponent():
 def test_metric_report_csv(tmp_path):
     mm, gd = stokes_frame()
     path = tmp_path / "report.csv"
-    rows = metric_report(mm, sample_points(5, seed=3), gd, path=str(path))
+    rows = metric_report(mm, sample_points(5, seed=3), gd)
+    write_csv(str(path), rows)
     assert len(rows) == 5
     text = path.read_text().splitlines()
     assert text[0].split(",") == ["z_re", "z_im", "a", "det_K", "ratio",
                                   "pseudo_norm", "glued_delta"]
     assert len(text) == 6
+
+
+# -- the code before the merges, kept as oracles ------------------------------
+# eval_metric with _block_K, curvature_knorm_ratio, pseudo_curvature with
+# _theta_block and _zphi_prime, and the gluing's _phi_at, as they were before
+# the frame constants were cached per block and ps_eval became the one series
+# evaluator.  The merged code must give the same bits.
+
+
+def old_block_K(block, z):
+    a = 2.0 * np.abs(np.log(np.abs(z)))
+    w = np.array(block.triple.weights, dtype=float)
+    e = _nilpotent_exp(block.triple.y, -1.0) @ _nilpotent_exp(block.triple.x, -1.0)
+    half = 0.5 * (w[:, None] + w[None, :])
+    scal = np.abs(z) ** (-2.0 * float(block.alpha.re))
+    return scal[:, None, None] * (a[:, None, None] ** half[None, :, :]) * e[None, :, :]
+
+
+def old_eval_metric(mm, z):
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    n, d = zs.shape[0], mm.rank
+    k = np.zeros((n, d, d), dtype=complex)
+    k1 = np.zeros((n, d, d), dtype=complex)
+    a = 2.0 * np.abs(np.log(np.abs(zs)))
+    for b in mm.blocks:
+        sl = slice(b.offset, b.offset + b.size)
+        k[:, sl, sl] = old_block_K(b, zs)
+        scal = np.abs(zs) ** (-2.0 * float(b.alpha.re))
+        w = np.array(b.triple.weights, dtype=float)
+        k1_diag = scal[:, None] * a[:, None] ** w[None, :]
+        for j in range(b.size):
+            k1[:, b.offset + j, b.offset + j] = k1_diag[:, j]
+    if np.isscalar(z) or np.asarray(z).ndim == 0:
+        return k[0], k1[0]
+    return k, k1
+
+
+def old_curvature_knorm_ratio(mm, z):
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    a = 2.0 * np.abs(np.log(np.abs(zs)))
+    out = np.zeros(len(zs))
+    for i, ai in enumerate(a):
+        blocks = []
+        for b in mm.blocks:
+            w = np.array(b.triple.weights, dtype=float)
+            h = np.diag(w)
+            x = b.triple.x
+            r = 2 * h / ai ** 2 - 4 * x / ai ** 3
+            exp_x = _nilpotent_exp(x, 1.0)
+            exp_mx = _nilpotent_exp(x, -1.0)
+            ah = np.diag(ai ** (w / 2.0))
+            ahm = np.diag(ai ** (-w / 2.0))
+            blocks.append(exp_mx @ ah @ r @ ahm @ exp_x)
+        out[i] = np.linalg.norm(_block_diag(blocks, mm.rank), 2) * ai ** 2
+    return out if len(out) > 1 else out[0]
+
+
+def old_zphi_prime(block, z, ram, branch=0):
+    phi = block.phi
+    if phi.is_zero:
+        return 0.0 + 0.0j
+    t = cmath.exp((cmath.log(z) + 2j * cmath.pi * branch) / phi.ram)
+    acc = 0.0 + 0.0j
+    for n, c in phi.terms.items():
+        acc += c.to_complex() * (n / phi.ram) * t ** n
+    return acc
+
+
+def old_theta_block(block, a, zphi):
+    m = block.size
+    w = np.array(block.triple.weights, dtype=float)
+    h = np.diag(w)
+    x, y = block.triple.x, block.triple.y
+    al = block.alpha.to_complex()
+    ap = al.real
+    exp_x = _nilpotent_exp(x, 1.0)
+    exp_mx = _nilpotent_exp(x, -1.0)
+    ah = np.diag(a ** (w / 2.0))
+    ahm = np.diag(a ** (-w / 2.0))
+
+    def conj(b):
+        return exp_mx @ ah @ b @ ahm @ exp_x
+
+    eye = np.eye(m)
+    m10 = conj(y) + (-al + zphi + ap / 2.0) * eye + conj(h) / (2 * a)
+    m01 = (ap / 2.0) * eye + conj(h) / (2 * a)
+    theta = 0.5 * (m10 + m01.conj().T)
+    n01 = m01 - theta.conj().T
+    return theta, n01
+
+
+def old_pseudo_curvature(mm, z):
+    zc = complex(z)
+    a = poincare_a(zc)
+    g_blocks = []
+    for b in mm.blocks:
+        zphi = old_zphi_prime(b, zc, mm.ram)
+        theta, n01 = old_theta_block(b, a, zphi)
+        theta2, _ = old_theta_block(b, 2 * a, zphi)
+        s1 = 2 * a * (theta - theta2)
+        dbar_theta = s1 / a ** 2
+        eye = np.eye(b.size)
+        theta0 = theta - (np.trace(theta) / b.size) * eye
+        n0 = n01 - (np.trace(n01) / b.size) * eye
+        g_blocks.append(dbar_theta + n0 @ theta0 - theta0 @ n0)
+    return _block_diag(g_blocks, mm.rank)
+
+
+def old_phi_at(phi, z, theta):
+    if phi.is_zero:
+        return 0.0 + 0.0j
+    logz = math.log(abs(z)) + 1j * theta
+    t = cmath.exp(logz / phi.ram)
+    acc = 0.0 + 0.0j
+    for n, c in phi.terms.items():
+        acc += c.to_complex() * t ** n
+    return acc
+
+
+def assert_same_bits(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    assert np.array_equal(new, old)
+    assert new.tobytes() == old.tobytes()  # signed zeros too
+
+
+def twisted(model):
+    """The twist of acceptance criterion 3: φ ↦ φ + (1 + i/2)·z⁻²."""
+    delta = PuiseuxSeries(model.ram, {-2 * model.ram: CQ.of(1, (1, 2))},
+                          TR * model.ram)
+    return ElementaryModel(model.ram, tuple(
+        (ps_add(phi.lift_ram(model.ram), delta), regs) for phi, regs in model.blocks))
+
+
+def oracle_frames():
+    """Catalog frames, their criterion-3 twists, and larger Jordan blocks."""
+    models = [formal_decompose(e.germ(TR)) for e in catalog.CATALOG.values()]
+    models += [twisted(m) for m in models]
+    models.append(ElementaryModel(2, (
+        (PuiseuxSeries(2, {-3: CQ.of(1, 2), -1: CQ.of((-1, 3))}, 2 * TR),
+         (RegularBlockData(CQ.of((1, 3), (1, 5)), (3, 1)),)),
+        (PuiseuxSeries(2, {}, 2 * TR), (RegularBlockData(CQ.of((1, 2)), (2,)),)))))
+    return [adapted_metric_frame(m) for m in models]
+
+
+ORACLE_POINTS = np.concatenate([
+    sample_points(200, seed=17),
+    [0.5, -0.5, 0.3j, -0.3j, 1e-6, -2e-6j, 0.999 * np.exp(1j), complex(0.2, -0.0)]])
+
+
+def test_eval_metric_matches_block_K_version():
+    for mm in oracle_frames():
+        for new, old in zip(eval_metric(mm, ORACLE_POINTS),
+                            old_eval_metric(mm, ORACLE_POINTS)):
+            assert_same_bits(new, old)
+        for z in ORACLE_POINTS[:5]:
+            for new, old in zip(eval_metric(mm, complex(z)),
+                                old_eval_metric(mm, complex(z))):
+                assert_same_bits(new, old)
+
+
+def test_curvature_knorm_ratio_matches_per_point_exponentials():
+    for mm in oracle_frames():
+        assert_same_bits(curvature_knorm_ratio(mm, ORACLE_POINTS),
+                         old_curvature_knorm_ratio(mm, ORACLE_POINTS))
+        assert_same_bits(curvature_knorm_ratio(mm, ORACLE_POINTS[3]),
+                         old_curvature_knorm_ratio(mm, ORACLE_POINTS[3]))
+
+
+def test_pseudo_curvature_matches_theta_block_version():
+    for mm in oracle_frames():
+        for z in ORACLE_POINTS[::2]:
+            assert_same_bits(pseudo_curvature(mm, complex(z)),
+                             old_pseudo_curvature(mm, complex(z)))
+
+
+def random_phis(rng, count):
+    out = []
+    for _ in range(count):
+        q = rng.choice([1, 2, 3, 4, 5, 6, 8])
+        terms = {rng.randint(-30, -1): CQ.of((rng.randint(-9, 9), rng.randint(1, 7)),
+                                             (rng.randint(-9, 9), rng.randint(1, 7)))
+                 for _ in range(rng.randint(1, 4))}
+        out.append(PuiseuxSeries(q, terms, TR))
+    return out
+
+
+def test_ps_eval_matches_phi_at_on_any_branch():
+    phis = [p for mm in oracle_frames() for p in mm.vector_phis()]
+    phis += random_phis(random.Random(5), 60)
+    zs = ORACLE_POINTS[::3]
+    for phi in phis:
+        for k in (-1, 0, 2):
+            thetas = np.angle(zs) + 2 * math.pi * k
+            old = np.array([old_phi_at(phi, z, t) for z, t in zip(zs, thetas)])
+            logs = np.array([math.log(abs(z)) + 1j * t for z, t in zip(zs, thetas)])
+            assert_same_bits(ps_eval(phi, logs), old)
+            for lz, o in zip(logs[:4], old[:4]):
+                value = ps_eval(phi, complex(lz))
+                assert isinstance(value, complex)
+                assert_same_bits(value, o)

@@ -1,19 +1,24 @@
 """Germs, elementary models, gauge moves and the spec-file schema."""
 
+import cmath
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connexion_lab.errors import IrrationalRootOfUnity, ParseError
 from connexion_lab.model import (ConnectionGerm, ElementaryModel,
-                                 RegularBlockData, assemble_matrix,
+                                 RegularBlockData, _rotation_matches,
+                                 assemble_matrix,
                                  descends_to_base, gauge_transform,
                                  germ_or_model_from_dict, model_to_dict,
                                  ramified_pullback, sigma_pullback,
                                  smat_eye, smat_mul, smat_neumann_inverse,
                                  twist_by_exponential)
-from connexion_lab.series import (CQ, CQ_ONE, PuiseuxSeries, ps_eq_to_trunc,
-                                  ps_sub)
+from connexion_lab.series import (CQ, CQ_ONE, PuiseuxSeries, common_ram,
+                                  ps_eq_to_trunc, ps_sub, quarter_root)
 
 TR = 16
 
@@ -196,3 +201,111 @@ def test_matrix_spec_parses():
 def test_bad_specs_raise_parse_error(doc):
     with pytest.raises(ParseError):
         germ_or_model_from_dict(doc)
+
+
+# -- the code before the merges, kept as oracles ------------------------------
+
+
+def old_monodromy(r):
+    """RegularBlockData.monodromy with its own nilpotent exponential."""
+    d = r.rank
+    n = np.zeros((d, d))
+    pos = 0
+    for p in r.partition:
+        for j in range(p - 1):
+            n[pos + j + 1, pos + j] = 1.0
+        pos += p
+    tu = np.eye(d)
+    pw = np.eye(d)
+    for k in range(1, d):
+        pw = pw @ (2j * np.pi * n) / k
+        tu = tu + pw
+    lam = cmath.exp(-2j * cmath.pi * r.alpha.to_complex())
+    return lam * tu
+
+
+@pytest.mark.parametrize("partition", [(1,), (2,), (3,), (2, 1), (4,), (2, 2),
+                                       (3, 2, 1), (5, 1), (6,)])
+def test_monodromy_matches_own_exponential(partition):
+    for alpha in (CQ.of(0), CQ.of((1, 2)), CQ.of((1, 3), (1, 5)),
+                  CQ.of(0, -2), CQ.of((7, 9), 3)):
+        r = RegularBlockData(alpha, partition)
+        new, old = r.monodromy(), old_monodromy(r)
+        assert np.array_equal(new, old) and new.tobytes() == old.tobytes()
+
+
+def old_rotation_matches(phi_a, phi_b, k):
+    """_rotation_matches as a term-by-term scan over the roots of unity."""
+    a, b = common_ram(phi_a, phi_b)
+    q = a.ram
+    n_max = min(a.trunc, b.trunc)
+    for n in set(a.terms) | set(b.terms):
+        if n > n_max:
+            continue
+        ca, cb = a.coeff(n), b.coeff(n)
+        j = (k * n) % q
+        if j == 0:
+            if not (ca - cb).is_zero:
+                return False
+        elif (4 * j) % q == 0:
+            if not (ca * quarter_root(4 * j // q) - cb).is_zero:
+                return False
+        else:
+            if not (ca.is_zero and cb.is_zero):
+                return False
+    return True
+
+
+coeff = st.builds(CQ.of, st.integers(-2, 2), st.integers(-2, 2)).filter(
+    lambda c: not c.is_zero)
+
+
+@st.composite
+def rotation_case(draw):
+    """φ_a, φ_b and k: rams dividing q ∈ {2, 3, 4, 6, 8}, unequal
+    truncations, and φ_b often the exact rotation of φ_a where ζ^j is a
+    fourth root of unity (kept, and so mismatched, where it is not), cut
+    near one of φ_a's terms."""
+    q = draw(st.sampled_from([2, 3, 4, 6, 8]))
+    rams = [r for r in range(1, q + 1) if q % r == 0]
+
+    def series(ram, size):
+        trunc = draw(st.integers(-3 * ram, 8))
+        exps = draw(st.lists(st.integers(-3 * ram, trunc), min_size=size, max_size=5))
+        return PuiseuxSeries(ram, {n: draw(coeff) for n in exps}, trunc)
+
+    a = series(draw(st.one_of(st.just(q), st.sampled_from(rams))), 1)
+    k = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        b = series(draw(st.sampled_from(rams)), 0)
+    else:
+        la = a.lift_ram(q)
+        turn = {n: (k * n) % q for n in la.terms}
+        terms = {n: c * quarter_root(4 * turn[n] // q) if (4 * turn[n]) % q == 0
+                 else c for n, c in la.terms.items()}
+        if terms and draw(st.booleans()):
+            terms.pop(draw(st.sampled_from(sorted(terms))))
+        near = draw(st.sampled_from(sorted(la.terms) + [la.trunc]))
+        b = PuiseuxSeries(q, terms, near + draw(st.integers(-2, 2)))
+    return a, b, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotation_case())
+def test_rotation_matches_equals_term_scan(case):
+    a, b, k = case
+    assert _rotation_matches(a, b, k) == old_rotation_matches(a, b, k)
+
+
+def test_rotation_ignores_irrational_terms_above_the_shared_trunc():
+    # ζ^1 = e^{2πi/3}: the t² term of φ_a sits above φ_b's truncation
+    a = PuiseuxSeries(3, {-1: CQ.of(1), 2: CQ.of(1)}, 6)
+    b = PuiseuxSeries(3, {}, 1)
+    assert not _rotation_matches(a, b, 0)
+    assert _rotation_matches(a, PuiseuxSeries(3, {-1: CQ.of(1)}, 1), 0)
+    assert _rotation_matches(a, PuiseuxSeries(3, {-1: CQ.of(1)}, 0), 3)
+    for k in (1, 2):  # ζ^{-k} is irrational at the t⁻¹ term
+        assert not _rotation_matches(a, PuiseuxSeries(3, {-1: CQ.of(1)}, 1), k)
+    c = PuiseuxSeries(3, {2: CQ.of(1)}, 6)
+    assert _rotation_matches(c, PuiseuxSeries(3, {}, 1), 1)
+    assert old_rotation_matches(c, PuiseuxSeries(3, {}, 1), 1)
