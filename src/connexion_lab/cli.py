@@ -163,12 +163,18 @@ def _l2_data(target: str):
             raise ParseError(f"catalog entry {target!r} has no rank-1 weight data")
         params = entry.l2
     sector = _pair(params.get("sector", (0.0, 2.0 * math.pi)))
+    if not sector[0] < sector[1]:
+        raise ParseError(f"sector {list(sector)} must have increasing ends")
     inner = _pair(params.get("inner",
                              (sector[0] + 0.25 * (sector[1] - sector[0]),
                               sector[1] - 0.25 * (sector[1] - sector[0]))))
     sub_sector = params.get("sub_sector")
     if sub_sector is not None:
         sub_sector = _pair(sub_sector)
+    for key, sub in (("inner", inner), ("sub_sector", sub_sector)):
+        if sub is not None and not sector[0] <= sub[0] < sub[1] <= sector[1]:
+            raise ParseError(f"{key} {list(sub)} must have increasing ends "
+                             f"inside sector {list(sector)}")
     a_ell = params.get("a_ell", 0.0)
     if isinstance(a_ell, (list, tuple)):
         a_ell = complex(*_pair(a_ell))
@@ -227,6 +233,16 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _at_least(least: int):
+    """argparse type: an integer no smaller than least (else exit 2)."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="connexion-lab",
                                 description=__doc__)
@@ -234,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--trunc", type=int, default=24,
+        sp.add_argument("--trunc", type=_at_least(0), default=24,
                         help="series truncation budget")
         sp.add_argument("--grid", choices=("coarse", "default", "fine"),
                         default="default", help="quadrature preset")
@@ -249,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     l = sub.add_parser("l2verify", help="weighted-L² verification")
     l.add_argument("target")
-    l.add_argument("--trials", type=int, default=5,
+    l.add_argument("--trials", type=_at_least(1), default=5,
                    help="Monte Carlo trials for the vanishing report")
     common(l)
     l.set_defaults(func=cmd_l2verify)

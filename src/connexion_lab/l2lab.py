@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DomainError, NonconvergentQuadrature, NotMonotone,
                      SectorContainsCosZero, UnboundedRatio)
-from .series import PuiseuxSeries, ps_eval
+from .series import PuiseuxSeries, ps_derive, ps_eval
 
 R_MIN = 1e-6
 
@@ -115,9 +115,7 @@ class WeightedLineData:
         if self.a_ell != 0:
             dphi = dphi - self.ell * self.a_ell * z ** (-self.ell - 1)
         if self.tail is not None and not self.tail.is_zero:
-            for n, c in self.tail.terms.items():
-                if n != 0:
-                    dphi = dphi + c.to_complex() * n * z ** (n - 1)
+            dphi = dphi + ps_eval(ps_derive(self.tail), np.log(r) + 1j * theta) / z
         d_r = -np.real(dphi * np.exp(1j * theta))
         d_theta = -np.real(dphi * 1j * z)
         return d_r, d_theta

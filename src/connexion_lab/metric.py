@@ -2,10 +2,12 @@
 
 All formulas are closed-form in a(z) = |log z z̄| and the sl2 data of the
 adapted frame; matrix exponentials of the nilpotent pieces are finite
-sums, so the only numerical error is float rounding.  The weights and
-the exponentials e^{±X}, e^{−Y} of a block are cached on its
-``MetricBlock``, so they are built once per block, not once per point;
-``_orthonormal`` is the one change to the orthonormal frame.
+sums, so the only numerical error is float rounding.  Every function of
+a point takes one point or an array of points and works on (n, d, d)
+stacks, one block at a time.  The weights and the exponentials e^{±X},
+e^{−Y} of a block are cached on its ``MetricBlock``, so they are built
+once per block; ``_orthonormal`` is the one change to the orthonormal
+frame.
 """
 
 from __future__ import annotations
@@ -27,43 +29,72 @@ def poincare_a(z) -> float:
     return abs(2.0 * np.log(np.abs(z)))
 
 
-def _check_domain(z) -> None:
-    az = np.abs(np.atleast_1d(np.asarray(z, dtype=complex)))
-    if np.any(az == 0) or np.any(az >= 1):
+def _points(z):
+    """(zs, a(zs)) for a point or an array of points, all in 0 < |z| < 1."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    r = np.abs(zs)
+    if np.any(r == 0) or np.any(r >= 1):
         raise DomainError("metric evaluation needs 0 < |z| < 1")
+    return zs, poincare_a(zs)
+
+
+def _shaped(z, out):
+    """One result for one point, the whole stack for an array of points."""
+    return out if np.ndim(z) else out[0]
+
+
+def _pow(a: np.ndarray, p: int) -> np.ndarray:
+    """a**p per point as an (n, 1, 1) stack, rounded as scalar code rounds it.
+
+    numpy's array power (and its square, for p = 2) differs from the C
+    library's pow by an ulp on some inputs; the curvature formulas keep the
+    rounding of the per-point code they replace.
+    """
+    return (a.astype(object) ** p).astype(float)[:, None, None]
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """Stack of diagonal matrices with the rows of v on their diagonals."""
+    out = np.zeros(v.shape + v.shape[-1:], dtype=v.dtype)
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
+def _block_stack(mm: ModelMetric, n: int, block_fn) -> np.ndarray:
+    """(n, d, d) block-diagonal stack; block_fn(b) fills block b's slice."""
+    out = np.zeros((n, mm.rank, mm.rank), dtype=complex)
+    for b in mm.blocks:
+        sl = slice(b.offset, b.offset + b.size)
+        out[:, sl, sl] = block_fn(b)
+    return out
 
 
 def eval_metric(mm: ModelMetric, z):
     """(K, K1) at z; z may be a scalar or an array (batched on axis 0)."""
-    _check_domain(z)
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    n, d = zs.shape[0], mm.rank
-    k = np.zeros((n, d, d), dtype=complex)
-    k1 = np.zeros((n, d, d), dtype=complex)
-    a = poincare_a(zs)
-    for b in mm.blocks:
+    zs, a = _points(z)
+
+    def scal(b):
+        return np.abs(zs) ** (-2.0 * float(b.alpha.re))
+
+    def k_block(b):
         w = b.weights
-        scal = np.abs(zs) ** (-2.0 * float(b.alpha.re))
         half = 0.5 * (w[:, None] + w[None, :])
         e = b.exp_neg_y @ b.exp_neg_x
-        sl = slice(b.offset, b.offset + b.size)
-        k[:, sl, sl] = (scal[:, None, None] * (a[:, None, None] ** half[None, :, :])
-                        * e[None, :, :])
-        diag = np.arange(b.offset, b.offset + b.size)
-        k1[:, diag, diag] = scal[:, None] * a[:, None] ** w[None, :]
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return k[0], k1[0]
-    return k, k1
+        return (scal(b)[:, None, None] * (a[:, None, None] ** half[None, :, :])
+                * e[None, :, :])
+
+    def k1_block(b):
+        return _diag(scal(b)[:, None] * a[:, None] ** b.weights[None, :])
+
+    n = len(zs)
+    return (_shaped(z, _block_stack(mm, n, k_block)),
+            _shaped(z, _block_stack(mm, n, k1_block)))
 
 
-def _block_diag(mats: list[np.ndarray], d: int) -> np.ndarray:
-    out = np.zeros((d, d), dtype=complex)
-    pos = 0
-    for m in mats:
-        s = m.shape[0]
-        out[pos:pos + s, pos:pos + s] = m
-        pos += s
-    return out
+def _curvature_block(b: MetricBlock, a2, a3) -> np.ndarray:
+    """R = 2H/a² − 4X/a³ of one block; a2, a3 are (n, 1, 1) stacks."""
+    return 2 * np.diag(b.weights) / a2 - 4 * b.triple.x / a3
 
 
 def connection_and_curvature(mm: ModelMetric, z):
@@ -72,75 +103,57 @@ def connection_and_curvature(mm: ModelMetric, z):
     M_k = −α′·Id − Y − 2H/a + 2X/a²,  R = 2H/a² − 4X/a³, and the
     orthonormal-frame coefficient R_orth = 2H/a²; ratio = ‖R_orth‖·a².
     """
-    _check_domain(z)
-    a = poincare_a(complex(z))
-    m_blocks, r_blocks, ro_blocks = [], [], []
-    for b in mm.blocks:
-        h = np.diag(b.weights)
-        x, y = b.triple.x, b.triple.y
-        ap = float(b.alpha.re)
-        m_blocks.append(-ap * np.eye(b.size) - y - 2 * h / a + 2 * x / a ** 2)
-        r_blocks.append(2 * h / a ** 2 - 4 * x / a ** 3)
-        ro_blocks.append(2 * h / a ** 2)
-    d = mm.rank
-    m_k = _block_diag(m_blocks, d)
-    r = _block_diag(r_blocks, d)
-    r_orth = _block_diag(ro_blocks, d)
-    ratio = np.linalg.norm(r_orth, 2) * a ** 2
-    return m_k, r, r_orth, ratio
+    zs, a = _points(z)
+    a2, a3 = _pow(a, 2), _pow(a, 3)
+    n = len(zs)
+    m_k = _block_stack(mm, n, lambda b: (
+        -float(b.alpha.re) * np.eye(b.size) - b.triple.y
+        - 2 * np.diag(b.weights) / a[:, None, None] + 2 * b.triple.x / a2))
+    r = _block_stack(mm, n, lambda b: _curvature_block(b, a2, a3))
+    r_orth = _block_stack(mm, n, lambda b: 2 * np.diag(b.weights) / a2)
+    ratio = np.linalg.norm(r_orth, 2, axis=(1, 2)) * a2[:, 0, 0]
+    return tuple(_shaped(z, x) for x in (m_k, r, r_orth, ratio))
 
 
 def curvature_knorm_ratio(mm: ModelMetric, z) -> np.ndarray:
     """‖R_k‖_k·|z|²·a² at each z, via the frame change P = δa^{−H/2}e^X.
 
     Equals 2·max|w_j| identically; computed the long way as an honest
-    numerical check (batched).
+    numerical check.
     """
-    _check_domain(z)
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    a = poincare_a(zs)
-    d = mm.rank
-    out = np.zeros(len(zs))
-    for i, ai in enumerate(a):
-        blocks = []
-        for b in mm.blocks:
-            h = np.diag(b.weights)
-            x = b.triple.x
-            r = 2 * h / ai ** 2 - 4 * x / ai ** 3
-            blocks.append(_orthonormal(b, ai, r)[0])
-        out[i] = np.linalg.norm(_block_diag(blocks, d), 2) * ai ** 2
-    return out if len(out) > 1 else out[0]
+    zs, a = _points(z)
+    a2, a3 = _pow(a, 2), _pow(a, 3)
+    r = _block_stack(mm, len(zs), lambda b: _orthonormal(
+        b, a, _curvature_block(b, a2, a3))[0])
+    return _shaped(z, np.linalg.norm(r, 2, axis=(1, 2)) * a2[:, 0, 0])
 
 
-def _orthonormal(block: MetricBlock, a: float, *mats) -> list[np.ndarray]:
-    """Each matrix in the orthonormal frame e·P: e^{−X}·a^{H/2}·M·a^{−H/2}·e^{X}."""
-    ah = np.diag(a ** (block.weights / 2.0))
-    ahm = np.diag(a ** (-block.weights / 2.0))
+def _orthonormal(block: MetricBlock, a, *mats) -> list[np.ndarray]:
+    """Each matrix in the orthonormal frame e·P: e^{−X}·a^{H/2}·M·a^{−H/2}·e^{X}.
+
+    a is an array of points; each matrix is one (s, s) or a stack per point.
+    """
+    ah = _diag(a[:, None] ** (block.weights / 2.0))
+    ahm = _diag(a[:, None] ** (-block.weights / 2.0))
     return [block.exp_neg_x @ ah @ m @ ahm @ block.exp_x for m in mats]
 
 
-def _zphi_prime(block: MetricBlock, z: complex) -> complex:
-    """z·φ′(z) evaluated from the stored series."""
-    phi = block.phi
-    if phi.is_zero:
-        return 0.0 + 0.0j
-    t = cmath.exp(cmath.log(z) / phi.ram)
-    acc = 0.0 + 0.0j
-    for n, c in phi.terms.items():
-        acc += c.to_complex() * (n / phi.ram) * t ** n
-    return acc
+def _theta_block(block: MetricBlock, a):
+    """(Θ, N^{0,1}) of one block at each value of a.
 
-
-def _theta_block(block: MetricBlock, a: float, zphi: complex):
-    """(Θ, N^{0,1}) of one block at a given value of a."""
+    zφ′·Id is left out of Θ: it is a multiple of the identity whose
+    ∂̄ is 0 and which commutes with N^{0,1}, so the pseudo-curvature is
+    the same without it, and carrying it would cost |zφ′|·eps.
+    """
     al = block.alpha.to_complex()
     ap = al.real
     y, h = _orthonormal(block, a, block.triple.y, np.diag(block.weights))
     eye = np.eye(block.size)
-    m10 = y + (-al + zphi + ap / 2.0) * eye + h / (2 * a)
-    m01 = (ap / 2.0) * eye + h / (2 * a)
-    theta = 0.5 * (m10 + m01.conj().T)
-    n01 = m01 - theta.conj().T
+    h = h / (2 * a)[:, None, None]
+    m10 = y + (-al + ap / 2.0) * eye + h
+    m01 = (ap / 2.0) * eye + h
+    theta = 0.5 * (m10 + m01.swapaxes(1, 2))  # m01 is real
+    n01 = m01 - theta.conj().swapaxes(1, 2)
     return theta, n01
 
 
@@ -151,33 +164,22 @@ def pseudo_curvature(mm: ModelMetric, z) -> np.ndarray:
     z̄-derivative is extracted exactly from two evaluations instead of a
     finite-difference stencil.
     """
-    _check_domain(z)
-    zc = complex(z)
-    a = poincare_a(zc)
-    g_blocks = []
-    for b in mm.blocks:
-        zphi = _zphi_prime(b, zc)
-        theta, n01 = _theta_block(b, a, zphi)
-        theta2, _ = _theta_block(b, 2 * a, zphi)
-        s1 = 2 * a * (theta - theta2)
-        dbar_theta = s1 / a ** 2
-        # scalar parts of Θ and N^{0,1} (dominated by zφ' for wild twists)
-        # commute exactly; strip them so the commutator does not lose
-        # precision to cancellation of the large φ'-terms
-        eye = np.eye(b.size)
-        theta0 = theta - (np.trace(theta) / b.size) * eye
-        n0 = n01 - (np.trace(n01) / b.size) * eye
-        g_blocks.append(dbar_theta + n0 @ theta0 - theta0 @ n0)
-    return _block_diag(g_blocks, mm.rank)
+    zs, a = _points(z)
+    a2 = _pow(a, 2)
+
+    def g_block(b):
+        theta, n01 = _theta_block(b, a)
+        theta2, _ = _theta_block(b, 2 * a)
+        dbar_theta = 2 * a[:, None, None] * (theta - theta2) / a2
+        return dbar_theta + n01 @ theta - theta @ n01
+
+    return _shaped(z, _block_stack(mm, len(zs), g_block))
 
 
 def higgs_field(mm: ModelMetric) -> np.ndarray:
     """Constant coefficient of dz/z: per block (−i α″/2)·Id + Y."""
-    blocks = []
-    for b in mm.blocks:
-        app = float(b.alpha.im)
-        blocks.append((-0.5j * app) * np.eye(b.size) + b.triple.y)
-    return _block_diag(blocks, mm.rank)
+    return _block_stack(mm, 1, lambda b: (
+        (-0.5j * float(b.alpha.im)) * np.eye(b.size) + b.triple.y))[0]
 
 
 def horizontal_norm_check(mm: ModelMetric, j: int, sector, grid=(40, 40)):
@@ -328,7 +330,6 @@ def glued_transition_det(mm: ModelMetric, gd: StokesGluingData, z) -> float:
 
 def glued_metric(mm: ModelMetric, gd: StokesGluingData, z) -> np.ndarray:
     """K pushed through the sectorial frame change (Id + χμ)."""
-    _check_domain(z)
     k, _ = eval_metric(mm, complex(z))
     g = glued_transition(mm, gd, complex(z))
     g_inv = np.linalg.inv(g)
@@ -337,36 +338,28 @@ def glued_metric(mm: ModelMetric, gd: StokesGluingData, z) -> np.ndarray:
 
 def metric_report(mm: ModelMetric, zs, gd: StokesGluingData | None = None):
     """Diagnostic rows for a batch of sample points."""
-    rows = []
-    for z in np.atleast_1d(np.asarray(zs, dtype=complex)):
-        k, _ = eval_metric(mm, complex(z))
-        a = poincare_a(z)
-        det_k = float(np.linalg.det(k).real)
-        _, _, _, ratio = connection_and_curvature(mm, complex(z))
-        pseudo = float(np.linalg.norm(pseudo_curvature(mm, complex(z)), 2))
-        if gd is not None:
-            kg = glued_metric(mm, gd, complex(z))
-            delta = float(np.linalg.norm(kg - k, 2))
-        else:
-            delta = 0.0
-        rows.append({
-            "z_re": float(z.real), "z_im": float(z.imag), "a": a,
-            "det_K": det_k, "ratio": float(ratio),
-            "pseudo_norm": pseudo, "glued_delta": delta,
-        })
-    return rows
+    zs, a = _points(zs)
+    k, _ = eval_metric(mm, zs)
+    det_k = np.linalg.det(k).real
+    ratio = connection_and_curvature(mm, zs)[3]
+    pseudo = np.linalg.norm(pseudo_curvature(mm, zs), 2, axis=(1, 2))
+    if gd is not None:
+        delta = [np.linalg.norm(glued_metric(mm, gd, z) - kz, 2) for z, kz in zip(zs, k)]
+    else:
+        delta = np.zeros(len(zs))
+    return [{"z_re": float(z.real), "z_im": float(z.imag), "a": float(a[i]),
+             "det_K": float(det_k[i]), "ratio": float(ratio[i]),
+             "pseudo_norm": float(pseudo[i]), "glued_delta": float(delta[i])}
+            for i, z in enumerate(zs)]
 
 
 def fd_curvature_check(mm: ModelMetric, z) -> float:
     """Max |FD z̄∂_{z̄}M_k + R| — the finite-difference oracle for R."""
     zc = complex(z)
     h = 1e-5
-
-    def m_of(p):
-        return connection_and_curvature(mm, p)[0]
-
-    dx = (m_of(zc + h) - m_of(zc - h)) / (2 * h)
-    dy = (m_of(zc + 1j * h) - m_of(zc - 1j * h)) / (2 * h)
+    m = connection_and_curvature(mm, zc + np.array([h, -h, 1j * h, -1j * h]))[0]
+    dx = (m[0] - m[1]) / (2 * h)
+    dy = (m[2] - m[3]) / (2 * h)
     dbar = 0.5 * (dx + 1j * dy)
     r = connection_and_curvature(mm, zc)[1]
     return float(np.max(np.abs(zc.conjugate() * dbar + r)))

@@ -168,6 +168,11 @@ def test_l2verify_cos_zero_sector_exits_5(tmp_path, capsys):
     {"beta": "x"},
     {"kappa": None},
     {"r1": 2},
+    {"a_ell": 1.0, "sector": [0.5, 0.5]},
+    {"a_ell": 1.0, "sector": [1.2, 0.3]},
+    {"a_ell": 1.0, "sector": [0.3, 1.2], "inner": [2.0, 3.0]},
+    {"a_ell": 1.0, "sector": [0.3, 1.2], "inner": [1.0, 0.5]},
+    {"a_ell": 1.0, "sector": [0.3, 1.2], "sub_sector": [0.2, 1.0]},
 ])
 def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
     path = tmp_path / "params.json"
@@ -175,6 +180,20 @@ def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
     code, out, err = run(capsys, "l2verify", str(path), "--grid", "coarse")
     assert code == 2
     assert out == "" and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("l2verify", "e-inverse-z", "--trials", "0"),
+    ("l2verify", "e-inverse-z", "--trials", "-1"),
+    ("analyze", "airy", "--trunc", "-3"),
+    ("l2verify", "e-inverse-z", "--trunc", "-1"),
+])
+def test_meaningless_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must be at least" in out.err
 
 
 def test_l2verify_entry_without_data_exits_2(capsys):

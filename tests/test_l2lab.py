@@ -563,6 +563,60 @@ def test_neg_re_phi_tail_matches_term_loop():
             assert np.array_equal(d.neg_re_phi(r, th), ref_neg_re_phi(d, r, th))
 
 
+def ref_grad_neg_re_phi(d, r, theta):
+    """grad_neg_re_phi as it was: the tail's φ′ summed term by term in z."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    z = r * np.exp(1j * theta)
+    dphi = np.zeros_like(z)
+    if d.a_ell != 0:
+        dphi = dphi - d.ell * d.a_ell * z ** (-d.ell - 1)
+    if d.tail is not None and not d.tail.is_zero:
+        for n, c in d.tail.terms.items():
+            if n != 0:
+                dphi = dphi + c.to_complex() * n * z ** (n - 1)
+    return -np.real(dphi * np.exp(1j * theta)), -np.real(dphi * 1j * z)
+
+
+def test_grad_neg_re_phi_tail_matches_term_loop():
+    """The tail's z·φ′ now goes through series.ps_eval, then is divided by z.
+
+    Each term may move by 4 ulp of |cₙ|·n·rⁿ⁻¹·(1 + n·|log r|), as in
+    neg_re_phi; the loop rounded once per term at the size of the running
+    sum, and the product with e^{iθ} (or iz) once more, so the bound adds
+    (terms + 2) ulp of |φ′|.  ∂_θ is r times as large.  Without a tail the
+    bits are unchanged.
+    """
+    from fractions import Fraction
+
+    from connexion_lab.series import CQ, PuiseuxSeries
+
+    rng = np.random.default_rng(9)
+    r = np.geomspace(1e-6, 0.99, 80)[:, None]
+    th = np.linspace(-7.0, 7.0, 64)[None, :]
+    eps = np.finfo(float).eps
+    for trial in range(60):
+        terms = {int(n): CQ(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))),
+                            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))))
+                 for n in rng.integers(0, 9, size=rng.integers(1, 5))}
+        tail = PuiseuxSeries(1, terms, 8)
+        a_ell = complex(*rng.uniform(-2, 2, 2)) if trial % 2 else 0.0
+        d = WeightedLineData.create(a_ell=a_ell, ell=1 + trial % 3, tail=tail,
+                                    sector=(0.0, 6.0))
+        ref = ref_grad_neg_re_phi(d, r, th)
+        size = np.hypot(ref[0], ref[1] / r)
+        bound = eps * (4 * sum(abs(c.to_complex()) * n * r ** (n - 1) * (1 + n * abs(np.log(r)))
+                               for n, c in tail.terms.items())
+                       + (len(tail.terms) + 2) * size)
+        for new, old, scale in zip(d.grad_neg_re_phi(r, th), ref, (1.0, r)):
+            assert np.all(np.abs(new - old) <= scale * bound)
+        if a_ell:
+            d = WeightedLineData.create(a_ell=a_ell, ell=1 + trial % 3,
+                                        sector=(0.0, 6.0))
+            for new, old in zip(d.grad_neg_re_phi(r, th), ref_grad_neg_re_phi(d, r, th)):
+                assert np.array_equal(new, old)
+
+
 @pytest.mark.parametrize("mask", [
     [True, True, True], [False, True, True], [True, False, True],
     [True, True, False], [False, False], [], [True]])
