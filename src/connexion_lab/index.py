@@ -100,15 +100,15 @@ def local_min_dims(m: ElementaryModel) -> tuple[int, int]:
 def _window_dims(germ: ConnectionGerm, b: int) -> tuple[int, int]:
     d, q = germ.rank, germ.ram
     # the codomain window is matched to the image lattice row by row:
-    # row i reaches exactly the exponents z∂ and the entries of row i can hit
+    # row i starts at the lowest exponent the poles of row i reach, and
+    # stops at b, since the truncated domain hits the exponents above b
+    # only in part and those rows would count as cokernel
     cod_index: dict[tuple[int, int], int] = {}
     rows = 0
     for i in range(d):
         lo_i = min([0] + [s.valuation() for s in germ.matrix[i]
                           if s.valuation() is not None])
-        hi_i = max([0] + [s.max_exponent() for s in germ.matrix[i]
-                          if s.max_exponent() is not None])
-        for n in range(-b + lo_i, b + hi_i + 1):
+        for n in range(-b + lo_i, b + 1):
             cod_index[(i, n)] = rows
             rows += 1
     dom_exps = list(range(-b, b + 1))

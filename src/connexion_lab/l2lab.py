@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (DomainError, NonconvergentQuadrature, NotMonotone,
                      SectorContainsCosZero, UnboundedRatio)
 from .series import PuiseuxSeries, ps_derive, ps_eval
+from .sl2 import _read_only
 
 R_MIN = 1e-6
 
@@ -121,12 +123,22 @@ class WeightedLineData:
         return d_r, d_theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorGrid:
-    """Geometric radii, uniform angles, trapezoid weights in (u, θ)."""
+    """Geometric radii, uniform angles, trapezoid weights in (u, θ).
+
+    The radii and angles are read-only copies, so the weights cached on a
+    grid (see _grid_weight) cannot go stale.  Grids compare and hash by
+    identity.
+    """
 
     radii: np.ndarray
     thetas: np.ndarray
+
+    def __post_init__(self):
+        for name in ("radii", "thetas"):
+            arr = _read_only(np.array(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def make(cls, sector=(0.0, 2.0 * math.pi), r1=0.5, preset="default",
@@ -138,9 +150,13 @@ class SectorGrid:
         thetas = np.linspace(sector[0], sector[1], nth)
         return cls(radii, thetas)
 
-    @property
+    @cached_property
     def u(self) -> np.ndarray:
-        return -np.log(self.radii)
+        return _read_only(-np.log(self.radii))
+
+    @cached_property
+    def _weights(self) -> dict:
+        return {}
 
     def refined(self) -> "SectorGrid":
         return SectorGrid(
@@ -246,13 +262,29 @@ def _tail_weight_integral(d: WeightedLineData, m: int, u0: float) -> float:
     return math.inf
 
 
+def _grid_weight(d: WeightedLineData, g: SectorGrid, m: int):
+    """(w, phase_edge) of d on g for the log power m, built once per grid.
+
+    w = r^{2β}|log r|^m e^{−2Re φ} on the grid; phase_edge is e^{−2Re φ}
+    on the innermost radius.  The r-only part of log w is taken on the
+    1-D u and broadcast over θ.
+    """
+    key = (d, m)
+    if key not in g._weights:
+        rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
+        with np.errstate(over="ignore"):
+            logw = ((-2.0 * d.beta * g.u + m * np.log(g.u))[:, None]
+                    + 2.0 * d.neg_re_phi(rr, tt))
+            w = np.exp(logw)
+        with np.errstate(invalid="ignore", over="ignore"):
+            phase_edge = np.exp(2.0 * d.neg_re_phi(g.radii[0], g.thetas))
+        g._weights[key] = (_read_only(w), _read_only(phase_edge))
+    return g._weights[key]
+
+
 def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
     m = d.kappa + 2 * (p - 1)
-    rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
-    u = -np.log(rr)
-    with np.errstate(over="ignore"):
-        logw = -2.0 * d.beta * u + m * np.log(u) + 2.0 * d.neg_re_phi(rr, tt)
-        w = np.exp(logw)
+    w, phase_edge = _grid_weight(d, g, m)
     if p == 1:
         f, gt = samples
         sq = _eval_samples(f, g) ** 2 + _eval_samples(gt, g) ** 2
@@ -266,7 +298,6 @@ def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
     total = float(_np_trapz(inner[::-1], g.u[::-1], axis=0))
     # analytic remainder below r_min: freeze the sample and the phase factor
     with np.errstate(invalid="ignore", over="ignore"):
-        phase_edge = np.exp(2.0 * d.neg_re_phi(g.radii[0], g.thetas))
         edge = np.where(sq[0, :] > 0, sq[0, :] * phase_edge, 0.0)
     tail_w = _tail_weight_integral(d, m, float(g.u[0]))
     if np.any(edge > 0):
@@ -278,7 +309,12 @@ def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
 
 def weighted_norm(p: int, samples, d: WeightedLineData, g: SectorGrid,
                   check: bool = True) -> float:
-    """Squared norm ∫|·|² r^{2β}|log r|^{κ+2(p−1)} e^{−2Re φ} dθ dr/r."""
+    """Squared norm ∫|·|² r^{2β}|log r|^{κ+2(p−1)} e^{−2Re φ} dθ dr/r.
+
+    The weight is computed once per (data, log power) and kept on the grid
+    for the grid's lifetime, which is why grid arrays are read-only.  The
+    refined grid of the convergence check is built afresh each time.
+    """
     if p not in (0, 1, 2):
         raise DomainError("form degree must be 0, 1 or 2")
     val = _norm_on_grid(p, samples, d, g)
@@ -446,7 +482,8 @@ def build_primitive_angular(omega, d: WeightedLineData, g: SectorGrid, inner):
         start_low = bool(np.mean(s) <= 0)
     if callable(omega[1]):
         def weighted(rv, tv):
-            return np.asarray(chi(tv), dtype=float) * np.asarray(omega[1](rv, tv))
+            # χ depends on θ only, and every row of tv is the same
+            return np.asarray(chi(tv[0]), dtype=float) * np.asarray(omega[1](rv, tv))
 
         u = _cumgauss_theta(weighted, g.radii, th, reverse=not start_low)
     else:
@@ -535,6 +572,7 @@ def vanishing_report(d: WeightedLineData, trials: int, g: SectorGrid,
     rng = np.random.default_rng(seed)
     inner_w = (g.thetas[-1] - g.thetas[0])
     inner = (float(g.thetas[0] + 0.2 * inner_w), float(g.thetas[-1] - 0.2 * inner_w))
+    rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
     for trial in range(trials):
         u0, f, gt = _manufactured(rng, g)
         if excluded:
@@ -542,7 +580,6 @@ def vanishing_report(d: WeightedLineData, trials: int, g: SectorGrid,
                          "residual": float("nan"), "verdict": "excluded"})
             continue
         out = build_primitive_angular((f, gt), d, g, inner)
-        rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
         u_true = u0(rr, tt)
         # compare on the plateau, modulo the function-of-r gauge freedom
         mask = out["chi"] >= 1.0 - 1e-12

@@ -140,9 +140,6 @@ class PuiseuxSeries:
         v = min(self.terms)
         return v, self.terms[v]
 
-    def max_exponent(self) -> int | None:
-        return max(self.terms) if self.terms else None
-
     def __repr__(self):
         if not self.terms:
             return f"PS(0; q={self.ram}, N={self.trunc})"

@@ -20,7 +20,10 @@ from .series import CQ, PuiseuxSeries
 
 @dataclass(frozen=True)
 class Sl2Triple:
-    """Direct sum of irreducible triples, one per partition entry."""
+    """Direct sum of irreducible triples, one per partition entry.
+
+    h, y and x are built once per triple and cached read-only.
+    """
 
     partition: tuple[int, ...]
     weights: tuple[int, ...]          # diagonal of H
@@ -30,11 +33,11 @@ class Sl2Triple:
     def size(self) -> int:
         return sum(self.partition)
 
-    @property
+    @cached_property
     def h(self) -> np.ndarray:
-        return np.diag(np.array(self.weights, dtype=float))
+        return _read_only(np.diag(np.array(self.weights, dtype=float)))
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
         d = self.size
         m = np.zeros((d, d))
@@ -43,11 +46,11 @@ class Sl2Triple:
             for j, s in enumerate(sq):
                 m[pos + j + 1, pos + j] = float(s) ** 0.5
             pos += part
-        return m
+        return _read_only(m)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.y.T
+        return _read_only(self.y.T)
 
     def commutator_diag_exact(self) -> tuple[Fraction, ...]:
         """Diagonal of [X, Y] from the exact squared coefficients.

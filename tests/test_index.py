@@ -95,6 +95,16 @@ def test_window_dims_stable_under_budget():
     assert local_full_dims(g) == local_full_dims(g, budget=15)
 
 
+@pytest.mark.parametrize("terms,dims", [
+    ({1: 1}, (1, 1)),           # A = z: z∂ + z is gauge equivalent to z∂
+    ({-1: 1, 2: 3}, (0, 1)),    # A = 1/z + 3z²: Irr = 1, no kernel
+])
+def test_window_dims_with_positive_order_entries(terms, dims):
+    germ = ConnectionGerm.from_matrix([[PuiseuxSeries(
+        1, {n: CQ.of(c) for n, c in terms.items()}, TR)]])
+    assert local_full_dims(germ) == dims
+
+
 def test_global_euler():
     s = SurfaceSpec(0, (("a", line(0)), ("b", line(0)), ("c", line(0))), 1)
     # (2 − 0 − 3)·1 + 3·(1 − 0) = 2

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from connexion_lab import catalog
-from connexion_lab.errors import (DomainError, NotMonotone,
-                                  SectorContainsCosZero, UnboundedRatio)
+from connexion_lab.errors import (DomainError, NonconvergentQuadrature,
+                                  NotMonotone, SectorContainsCosZero,
+                                  UnboundedRatio)
 from connexion_lab.l2lab import (_GL_NODES, _GL_WEIGHTS, SectorGrid,
                                  WeightedLineData, _cumgauss_theta,
-                                 _first_false, _log_cumtrapz,
+                                 _eval_samples, _first_false, _grid_weight,
+                                 _log_cumtrapz, _norm_on_grid, _np_trapz,
+                                 _tail_weight_integral,
                                  build_primitive_angular,
                                  build_primitive_radial, default_bump,
                                  hardy_angular, log_psi, phase_sign_check,
@@ -185,6 +188,30 @@ def test_hardy_radial_bound():
     rho = np.linspace(1e-9, 0.5, 100001)[1:]
     ref = 4.0 * np.max(rho * (0.5 - rho) / np.log(rho) ** 2)
     assert out["bound"] == pytest.approx(ref, rel=1e-3)
+
+
+# β = 1, ℓ = 2, |a_ℓ| = 1.74 on a sector where cos(2θ − τ) < 0 and sin has
+# one sign; ratio_sq is the same for every arg a_ℓ and either quadrant
+ELL2_SECTOR = (0.025 * math.pi, 0.225 * math.pi)
+
+
+def ell2_radial(preset):
+    d = WeightedLineData.create(beta=1.0, kappa=0, ell=2, a_ell=1.74,
+                                sector=ELL2_SECTOR, r1=0.5)
+    return build_primitive_radial(lambda r: r ** 2, d, grid(ELL2_SECTOR, preset))
+
+
+@pytest.mark.xfail(strict=True, reason="4·max ρ(r₁−ρ)/log²ρ = 0.1949 does not "
+                   "cover ℓ = 2: ratio_sq converges to about 0.1972")
+def test_hardy_radial_bound_ell2():
+    out = ell2_radial("default")
+    assert out["ratio_sq"] <= out["bound"]
+
+
+def test_hardy_radial_ratio_ell2_is_converged():
+    # the excess over the bound is not a quadrature error
+    coarse, fine = (ell2_radial(p)["ratio_sq"] for p in ("default", "fine"))
+    assert abs(fine - coarse) < 0.005 * fine
 
 
 def test_radial_primitive_growing_weight_branch():
@@ -669,3 +696,130 @@ def test_first_failing_radius_scans_match_loops(c, where):
         assert v["r_N"] == float(g.radii[idx] if idx > 0 else g.radii[0])
         if where == "first":
             assert idx == 0
+
+
+# -- weights cached on the grid -----------------------------------------------
+
+def ref_norm_on_grid(p, samples, d, g):
+    """_norm_on_grid as it was, building the weight on every call."""
+    m = d.kappa + 2 * (p - 1)
+    rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
+    u = -np.log(rr)
+    with np.errstate(over="ignore"):
+        logw = -2.0 * d.beta * u + m * np.log(u) + 2.0 * d.neg_re_phi(rr, tt)
+        w = np.exp(logw)
+    if p == 1:
+        f, gt = samples
+        sq = _eval_samples(f, g) ** 2 + _eval_samples(gt, g) ** 2
+    else:
+        sq = _eval_samples(samples, g) ** 2
+    with np.errstate(invalid="ignore", over="ignore"):
+        vals = np.where(sq > 0, sq * w, 0.0)
+    if np.any(np.isinf(vals)):
+        return math.inf
+    inner = _np_trapz(vals, g.thetas, axis=1)
+    total = float(_np_trapz(inner[::-1], g.u[::-1], axis=0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        phase_edge = np.exp(2.0 * d.neg_re_phi(g.radii[0], g.thetas))
+        edge = np.where(sq[0, :] > 0, sq[0, :] * phase_edge, 0.0)
+    tail_w = _tail_weight_integral(d, m, float(g.u[0]))
+    if np.any(edge > 0):
+        if not (math.isfinite(tail_w) and np.all(np.isfinite(edge))):
+            return math.inf
+        total += float(_np_trapz(edge, g.thetas)) * tail_w
+    return total
+
+
+def ref_weighted_norm(p, samples, d, g, check):
+    """weighted_norm's convergence check around the reference norm."""
+    val = ref_norm_on_grid(p, samples, d, g)
+    refinable = callable(samples) or (p == 1 and all(callable(s) for s in samples))
+    if check and refinable and math.isfinite(val) and val != 0:
+        val2 = ref_norm_on_grid(p, samples, d, g.refined())
+        if abs(val2 - val) > 0.01 * abs(val):
+            raise NonconvergentQuadrature
+    return val
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonconvergentQuadrature:
+        return NonconvergentQuadrature
+
+
+def _tail(*coeffs):
+    from connexion_lab.series import CQ, PuiseuxSeries
+    return PuiseuxSeries(1, {n: CQ.of(c) for n, c in enumerate(coeffs, 1) if c}, 8)
+
+
+SEC1, SEC2 = (0.3, 1.2), ELL2_SECTOR
+WEIGHT_CASES = [
+    (dict(beta=b, kappa=k, a_ell=0.0), FULL) for b in (0.0, 1.0) for k in (0, 2)
+] + [
+    (dict(beta=0.5, kappa=1, ell=1, a_ell=1.0), SEC1),
+    (dict(beta=1.0, kappa=0, ell=2, a_ell=1.74), SEC2),
+    (dict(beta=0.25, kappa=2, ell=1, a_ell=1.0, tail=_tail(3, (1, 2))), SEC1),
+    (dict(beta=1.0, kappa=0, a_ell=0.0, tail=_tail(0, -2)), SEC1),
+]
+
+
+def _samples(p, g):
+    """A callable and an array version of p-form samples on g."""
+    fn = lambda r, t: np.cos(t) / (1.0 - np.log(r)) + r
+    arr = _eval_samples(fn, g)
+    if p == 1:
+        gt = lambda r, t: np.sin(2.0 * t) * r
+        return (fn, gt), (arr, _eval_samples(gt, g))
+    return fn, arr
+
+
+@pytest.mark.parametrize("params,sec", WEIGHT_CASES)
+def test_cached_weight_matches_rebuilt_weight(params, sec):
+    d = WeightedLineData.create(sector=sec, r1=0.5, **params)
+    g = grid(sec, "coarse")
+    for _ in range(2):
+        for p in (0, 1, 2):
+            for samples in _samples(p, g):
+                assert _norm_on_grid(p, samples, d, g) == \
+                    ref_norm_on_grid(p, samples, d, g)
+                for check in (False, True):
+                    assert _outcome(weighted_norm, p, samples, d, g, check) == \
+                        _outcome(ref_weighted_norm, p, samples, d, g, check)
+    # one entry per log power, kept across calls
+    assert len(g._weights) == 3
+    assert _grid_weight(d, g, d.kappa)[0] is _grid_weight(d, g, d.kappa)[0]
+
+
+def test_interleaved_data_keep_their_own_weights():
+    # each datum differs from the first in one field only
+    base = dict(beta=0.5, kappa=0, ell=1, a_ell=1.0, tail=_tail(1))
+    data = [WeightedLineData.create(sector=SEC1, r1=0.5, **dict(base, **change))
+            for change in ({}, {"kappa": 1}, {"tail": _tail(2)},
+                           {"a_ell": 2.0})]
+    assert len({d.tau for d in data}) == 1
+    g = grid(SEC1, "coarse")
+    fn, arr = _samples(0, g)
+    values = []
+    for _ in range(3):
+        for d in data + data[::-1]:
+            for p, samples in ((0, fn), (1, (arr, arr))):
+                v = _norm_on_grid(p, samples, d, g)
+                assert v == ref_norm_on_grid(p, samples, d, g)
+                values.append(v)
+    assert len(set(values)) == 2 * len(data)
+    assert len(g._weights) == 2 * len(data)
+
+
+def test_grid_arrays_are_read_only():
+    radii, thetas = np.geomspace(1e-6, 0.5, 20), np.linspace(0.3, 1.2, 8)
+    g = SectorGrid(radii, thetas)
+    radii[0] = thetas[0] = 7.0
+    assert g.radii[0] == 1e-6 and g.thetas[0] == 0.3
+    for arr in (g.radii, g.thetas, g.u):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    d = flat(1.0, 2)
+    for w in _grid_weight(d, g, 0):
+        with pytest.raises(ValueError):
+            w[0] = 1.0

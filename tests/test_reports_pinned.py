@@ -4,9 +4,10 @@
 of what these runs write:
 
 - ``analyze NAME --trunc 24 --out F``: the JSON report and ``.metric.csv``;
-- ``l2verify NAME --grid coarse``: the exit code and stdout, and with
-  ``--out F`` the ``.psi.csv`` and ``.vanishing.csv`` tables (the report
-  file must equal stdout).
+- ``l2verify NAME --grid coarse`` and ``--grid default``: the exit code
+  and stdout, and with ``--out F`` the ``.psi.csv`` and ``.vanishing.csv``
+  tables (the report file must equal stdout).  The ``default`` keys carry
+  ``l2verify.default.`` in front.
 
 The float results follow numpy's and the CPU's rounding, so the file
 records the numpy version and the machine it was made on, and the tests
@@ -54,14 +55,16 @@ def snapshot(name: str, tmp: Path) -> dict:
     _run("analyze", name, "--trunc", "24", "--out", str(report))
     doc = {"analyze": _sha(report.read_bytes()),
            "analyze.metric.csv": _sha((tmp / f"{name}.metric.csv").read_bytes())}
-    rc, stdout = _run("l2verify", name, "--grid", "coarse")
-    doc.update({"l2verify.rc": rc, "l2verify.stdout": _sha(stdout)})
-    report = tmp / f"{name}.l2.json"
-    _run("l2verify", name, "--grid", "coarse", "--out", str(report))
-    if report.exists():
-        assert report.read_bytes() == stdout
-        for table in ("psi.csv", "vanishing.csv"):
-            doc[f"l2verify.{table}"] = _sha((tmp / f"{name}.l2.{table}").read_bytes())
+    for grid, key in (("coarse", "l2verify"), ("default", "l2verify.default")):
+        rc, stdout = _run("l2verify", name, "--grid", grid)
+        doc.update({f"{key}.rc": rc, f"{key}.stdout": _sha(stdout)})
+        report = tmp / f"{name}.{grid}.json"
+        _run("l2verify", name, "--grid", grid, "--out", str(report))
+        if report.exists():
+            assert report.read_bytes() == stdout
+            for table in ("psi.csv", "vanishing.csv"):
+                doc[f"{key}.{table}"] = _sha(
+                    (tmp / f"{name}.{grid}.{table}").read_bytes())
     return doc
 
 

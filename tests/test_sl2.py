@@ -53,6 +53,16 @@ def test_float_commutators():
         assert np.max(np.abs(h @ y - y @ h + 2 * y)) < 1e-12
 
 
+def test_triple_matrices_are_built_once_read_only():
+    t = triple_for_partition((3, 2))
+    for name in ("x", "y", "h"):
+        m = getattr(t, name)
+        assert getattr(t, name) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    assert np.array_equal(t.x, t.y.T)
+
+
 def test_adapted_frame_layout():
     m = ElementaryModel(1, (
         (PuiseuxSeries(1, {-1: CQ.of(1)}, 12),
