@@ -1,7 +1,10 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
-Everything here is fraction-free in spirit but implemented directly over
-the field CQ; sizes are tiny (rank guard 4), so clarity wins over speed.
+Everything works directly over the field CQ. The decomposition layers
+use d × d matrices with d ≤ 4 (the rank guard), where the dense
+Gauss–Jordan `rref` is the clearest tool. `index.local_full_dims` ranks
+Laurent windows of up to about 80 × 80 whose entries are mostly zero, so
+`rank` eliminates over sparse rows instead.
 """
 
 from __future__ import annotations
@@ -63,7 +66,38 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """Rank of m by exact forward elimination over sparse rows.
+
+    Each row is held as {column: entry} with its nonzero entries only.
+    Each step pivots on the lowest column still present, takes the
+    shortest row holding it as the pivot row, eliminates that column
+    from the other rows and drops rows that become empty. There is no
+    back-substitution and no normalisation; m is left untouched.
+    """
+    rows = [r for r in ({j: x for j, x in enumerate(row) if not x.is_zero}
+                        for row in m) if r]
+    found = 0
+    while rows:
+        col = min(min(r) for r in rows)
+        holders = [r for r in rows if col in r]
+        pivot = min(holders, key=len)
+        rows = [r for r in rows if col not in r]
+        inv = CQ_ONE / pivot.pop(col)
+        for r in holders:
+            if r is pivot:
+                continue
+            f = r.pop(col) * inv
+            for j, x in pivot.items():
+                y = r.get(j)
+                v = -(f * x) if y is None else y - f * x
+                if v.is_zero:
+                    del r[j]
+                else:
+                    r[j] = v
+            if r:
+                rows.append(r)
+        found += 1
+    return found
 
 
 def kernel(m: Matrix) -> list[list[CQ]]:

@@ -134,16 +134,23 @@ def _window_dims(germ: ConnectionGerm, b: int) -> tuple[int, int]:
     return h0, h1
 
 
+def _default_budget(germ: ConnectionGerm) -> int:
+    mv = min((s.valuation() for row in germ.matrix for s in row
+              if s.valuation() is not None), default=0)
+    return 2 * max(0, -mv) * germ.rank + 10
+
+
 def local_full_dims(germ: ConnectionGerm, budget: int | None = None):
     """Brute-force (h0, h1) of f ↦ z∂f + A·f on a truncated Laurent window.
 
-    The answer must be stable when the window grows by 5 exponents.
+    The domain window holds the exponents −budget … budget, with budget
+    ≥ 0 (default 2·pole·rank + 10). The answer must be stable when the
+    window grows by 5 exponents.
     """
     if budget is None:
-        mv = min((s.valuation() for row in germ.matrix for s in row
-                  if s.valuation() is not None), default=0)
-        pole = max(0, -mv)
-        budget = 2 * pole * germ.rank + 10
+        budget = _default_budget(germ)
+    elif budget < 0:
+        raise DomainError(f"window budget must be nonnegative, got {budget}")
     first = _window_dims(germ, budget)
     second = _window_dims(germ, budget + 5)
     if first != second:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from connexion_lab import catalog
+from connexion_lab import catalog, exactla, index
 from connexion_lab.errors import DomainError, InconsistentResidues
 from connexion_lab.formal import formal_decompose
 from connexion_lab.index import (MonodromyRep, SurfaceSpec, degree_check,
@@ -92,7 +92,7 @@ def test_oracle_relations_on_many_germs():
 
 def test_window_dims_stable_under_budget():
     g = catalog.CATALOG["airy"].germ(TR)
-    assert local_full_dims(g) == local_full_dims(g, budget=15)
+    assert local_full_dims(g) == local_full_dims(g, budget=15) == (0, 1)
 
 
 @pytest.mark.parametrize("terms,dims", [
@@ -103,6 +103,35 @@ def test_window_dims_with_positive_order_entries(terms, dims):
     germ = ConnectionGerm.from_matrix([[PuiseuxSeries(
         1, {n: CQ.of(c) for n, c in terms.items()}, TR)]])
     assert local_full_dims(germ) == dims
+
+
+def rank1(terms):
+    return ConnectionGerm.from_matrix([[PuiseuxSeries(
+        1, {n: CQ.of(*c) for n, c in terms.items()}, TR)]])
+
+
+WINDOW_GERMS = {
+    **{name: e.germ(TR) for name, e in catalog.CATALOG.items()},
+    **{f"pole{p}": rank1({-p: (1, 1), 0: ((1, 2),)}) for p in (1, 2, 3)},
+    "z": rank1({1: (1,)}),
+    "1/z+3z^2": rank1({-1: (1,), 2: (3,)}),
+}
+
+
+@pytest.mark.parametrize("germ", WINDOW_GERMS.values(), ids=WINDOW_GERMS)
+def test_window_ranks_match_rref_oracle(germ, monkeypatch):
+    b = index._default_budget(germ)
+    fast = [index._window_dims(germ, n) for n in (b, b + 5)]
+    monkeypatch.setattr(exactla, "rank", lambda m: len(exactla.rref(m)[1]))
+    assert [index._window_dims(germ, n) for n in (b, b + 5)] == fast
+
+
+# -8 leaves both windows empty, which would read (0, 0); -3 gives an
+# empty first window, which would read as an unstable answer
+@pytest.mark.parametrize("budget", [-8, -3])
+def test_local_full_dims_rejects_negative_budget(budget):
+    with pytest.raises(DomainError, match="nonnegative"):
+        local_full_dims(catalog.CATALOG["airy"].germ(TR), budget=budget)
 
 
 def test_global_euler():
