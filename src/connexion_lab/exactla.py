@@ -175,6 +175,34 @@ def poly_deflate(coeffs: list[CQ], root: CQ) -> list[CQ]:
     return out
 
 
+def _trim(p: list[CQ]) -> list[CQ]:
+    p = list(p)
+    while p and p[-1].is_zero:
+        p.pop()
+    return p
+
+
+def _poly_divmod(num: list[CQ], den: list[CQ]) -> tuple[list[CQ], list[CQ]]:
+    """Quotient and remainder of num by den (leading coefficient nonzero)."""
+    rem = list(num)
+    quot = [CQ_ZERO] * max(len(num) - len(den) + 1, 0)
+    inv = CQ_ONE / den[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(den) - 1] * inv
+        quot[k] = c
+        for j, x in enumerate(den):
+            rem[k + j] = rem[k + j] - c * x
+    return quot, _trim(rem[:len(den) - 1])
+
+
+def _square_free(p: list[CQ]) -> list[CQ]:
+    """p / gcd(p, p′) over Q(i): the roots of p, each of them simple."""
+    a, b = p, _trim([c.scale(Fraction(n)) for n, c in enumerate(p)][1:])
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return p if len(a) == 1 else _poly_divmod(p, a)[0]
+
+
 def _rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
@@ -182,15 +210,16 @@ def _rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
 def gaussian_roots(coeffs: list[CQ]) -> list[tuple[CQ, int]]:
     """All roots in Q(i) with multiplicities; raises if any root is outside.
 
-    Candidates come from a numeric solve, acceptance is exact
-    (verification by substitution plus exact deflation).
+    Candidates come from a numeric solve of the square-free part, whose
+    roots are all simple: a root of multiplicity m of the full polynomial
+    would scatter by about eps^(1/m) and defeat the rationalization.
+    Acceptance and multiplicity are exact (substitution into the full
+    polynomial plus exact deflation).
     """
-    work = list(coeffs)
-    while len(work) > 1 and work[-1].is_zero:
-        work.pop()
+    work = _trim(coeffs)
     if len(work) <= 1:
         return []
-    numeric = np.roots([c.to_complex() for c in reversed(work)])
+    numeric = np.roots([c.to_complex() for c in reversed(_square_free(work))])
     candidates = []
     for z in numeric:
         candidates.append(CQ(_rationalize(z.real), _rationalize(z.imag)))

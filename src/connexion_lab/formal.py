@@ -22,44 +22,13 @@ from .model import (ConnectionGerm, ElementaryModel, RegularBlockData, SMatrix,
                     smat_min_trunc, smat_min_val, smat_mul,
                     twist_by_exponential, unipotent_gauge)
 from .series import (CQ, CQ_ONE, CQ_ZERO, PuiseuxSeries, ps_add, ps_eq_to_trunc,
-                     ps_mul, ps_neg)
+                     ps_neg)
 
 RANK_GUARD = 4
 RAM_GUARD = 24
 
 
 # -- Newton polygon --------------------------------------------------------
-
-def _sdet(m: SMatrix) -> PuiseuxSeries:
-    """Determinant of a small series matrix by Leibniz expansion."""
-    d = len(m)
-    ram = m[0][0].ram
-    trunc = smat_min_trunc(m)
-    acc = PuiseuxSeries(ram, {}, trunc)
-    for perm in itertools.permutations(range(d)):
-        sign = 1
-        seen = list(perm)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = m[0][perm[0]]
-        for i in range(1, d):
-            term = ps_mul(term, m[i][perm[i]])
-        acc = ps_add(acc, term if sign > 0 else ps_neg(term))
-    return acc
-
-
-def _principal_minor_sum(m: SMatrix, k: int) -> PuiseuxSeries:
-    d = len(m)
-    ram = m[0][0].ram
-    trunc = smat_min_trunc(m)
-    acc = PuiseuxSeries(ram, {}, trunc)
-    for idx in itertools.combinations(range(d), k):
-        sub = [[m[i][j] for j in idx] for i in idx]
-        acc = ps_add(acc, _sdet(sub))
-    return acc
-
 
 @dataclass(frozen=True)
 class NewtonPolygon:
@@ -79,39 +48,79 @@ class NewtonPolygon:
         return sum((s * m for s, m in self.slopes), Fraction(0))
 
 
-def _cap_entries(m: SMatrix, cap: int) -> SMatrix:
-    """Drop the terms above exponent ``cap`` and lower each trunc to it."""
-    return [[s if s.trunc <= cap else
-             PuiseuxSeries(s.ram, {n: c for n, c in s.terms.items() if n <= cap},
-                           cap)
-             for s in row] for row in m]
+def _times(prod: dict, terms: list, bound: int) -> dict:
+    """Product of Gaussian-integer series, kept below exponent ``bound``.
+
+    ``prod`` maps exponents to (re, im); ``terms`` is sorted (n, re, im).
+    """
+    out: dict[int, tuple[int, int]] = {}
+    for n, (a, b) in prod.items():
+        for m, c, e in terms:
+            s = n + m
+            if s >= bound:
+                break
+            re, im = out.get(s, (0, 0))
+            out[s] = (re + a * c - b * e, im + a * e + b * c)
+    return out
 
 
 def newton_polygon(germ: ConnectionGerm) -> NewtonPolygon:
     """Newton polygon from the principal-minor sums e_k of the matrix.
 
-    Only the part of e_k below exponent 0 is read.  With pole order p, a
-    product of k entries gets a negative exponent only from entry terms at
-    exponents below (k − 1)·p, so e_k is formed from entries capped there
-    (``_cap_entries``).  A capped product either keeps its truncation or
-    lands at one ≥ 0, so every coefficient below 0, and whether the
-    truncation is negative, is the same as without the cap.
+    Only valuations of e_k are read, and e_k(D·A) = D^k·e_k(A).  So the
+    entries are scaled once by D, the lcm of every real and imaginary
+    denominator, and e_k is summed over its Leibniz terms in Gaussian
+    integers.  Exponents count powers of t.  With p the pole order,
+    every entry has valuation ≥ −p, so after j of the k factors of a term
+    only exponents below (k − j)·p can still land below 0, and only the
+    part of e_k below 0 is read; the other exponents are dropped.
+
+    The truncation of e_k is the one the series product and sum would
+    give it with every entry capped at (k − 1)·p (terms above dropped,
+    trunc lowered to it).  A product of entries with truncations Nⱼ and
+    valuations v̂ⱼ (v̂ is the trunc of an empty entry) has truncation
+    minᵢ(Nᵢ + Σⱼ≠ᵢ v̂ⱼ); a sum has the least truncation of its terms and of
+    every capped entry.  A part below 0 that is empty to a negative
+    truncation cannot be certified and raises InsufficientTruncation.
     """
-    d, q = germ.rank, germ.ram
-    p = max(0, -(smat_min_val(germ.matrix) or 0))
+    d, q, mat = germ.rank, germ.ram, germ.matrix
+    p = max(0, -(smat_min_val(mat) or 0))
+    read = [[[(n, c) for n, c in s.terms.items() if n < (d - 1) * p]
+             for s in row] for row in mat]
+    den = lcm(1, *(x.denominator for row in read for ts in row
+                   for _, c in ts for x in (c.re, c.im)))
+    ints = [[[(n, c.re.numerator * (den // c.re.denominator),
+               c.im.numerator * (den // c.im.denominator)) for n, c in ts]
+             for ts in row] for row in read]
     pts: list[tuple[int, Fraction]] = [(d, Fraction(0))]
     for k in range(1, d + 1):
-        e_k = _principal_minor_sum(_cap_entries(germ.matrix, (k - 1) * p), k)
-        v = e_k.valuation()
-        if v is None:
-            if e_k.trunc < 0:
-                raise InsufficientTruncation(
-                    f"cannot certify valuation of a degree-{d - k} "
-                    "characteristic coefficient")
-            h = Fraction(0)
-        else:
-            h = min(Fraction(v, q), Fraction(0))
-        pts.append((d - k, h))
+        cap = (k - 1) * p
+        tr = [[min(s.trunc, cap) for s in row] for row in mat]
+        val = [[min(s.val_or_trunc(), t) for s, t in zip(row, trow)]
+               for row, trow in zip(mat, tr)]
+        trunc = min(min(row) for row in tr)
+        e_k: dict[int, tuple[int, int]] = {}
+        for idx in itertools.combinations(range(d), k):
+            for perm in itertools.permutations(idx):
+                cells = list(zip(idx, perm))
+                trunc = min(trunc, sum(val[i][j] for i, j in cells)
+                            + min(tr[i][j] - val[i][j] for i, j in cells))
+                prod = {0: (1, 0)}
+                for step, (i, j) in enumerate(cells, 1):
+                    prod = _times(prod, ints[i][j], (k - step) * p)
+                    if not prod:
+                        break
+                odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+                for n, (a, b) in prod.items():
+                    re, im = e_k.get(n, (0, 0))
+                    e_k[n] = (re - a, im - b) if odd else (re + a, im + b)
+        v = min((n for n, c in e_k.items() if n <= trunc and c != (0, 0)),
+                default=None)
+        if v is None and trunc < 0:
+            raise InsufficientTruncation(
+                f"cannot certify valuation of a degree-{d - k} "
+                "characteristic coefficient")
+        pts.append((d - k, Fraction(0) if v is None else Fraction(v, q)))
     pts.sort()
     # lower convex hull, left to right
     hull: list[tuple[int, Fraction]] = []

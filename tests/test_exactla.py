@@ -1,8 +1,11 @@
-"""Exact linear algebra: the sparse `rank` against sympy and against `rref`.
+"""Exact linear algebra: the sparse `rank` against sympy and against `rref`,
+and `gaussian_roots` against sympy.
 
 `rank` eliminates over sparse rows on its own, apart from `rref`, so
 both must agree with an independent exact rank on every shape the package
-can hand them, including empty and degenerate ones.
+can hand them, including empty and degenerate ones.  `gaussian_roots`
+must return the exact multiset of roots of a product of linear factors
+over Q(i), repeated roots included.
 """
 
 from fractions import Fraction
@@ -85,3 +88,56 @@ def c(re, im=0):
 def test_rank_fixed_cases(m, expected):
     assert exactla.rank(m) == expected
     assert len(exactla.rref(m)[1]) == expected
+
+
+small_roots = st.builds(
+    CQ, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)))
+
+
+@st.composite
+def root_multisets(draw):
+    """Distinct Gaussian-rational roots with multiplicities summing to ≤ 4."""
+    roots = draw(st.lists(small_roots, min_size=1, max_size=4, unique=True))
+    mults = []
+    for r in roots:
+        left = 4 - sum(mults)
+        if left == 0:
+            break
+        mults.append(draw(st.integers(1, left)))
+    return dict(zip(roots, mults))
+
+
+def expand(lead, multiset):
+    """Coefficients [c_0..c_n] of lead·∏(T − r)^m."""
+    coeffs = [lead]
+    for r, m in multiset.items():
+        for _ in range(m):
+            shifted = [CQ_ZERO] + coeffs
+            coeffs = [s - r * c for s, c in zip(shifted, coeffs + [CQ_ZERO])]
+    return coeffs
+
+
+def to_sympy_cq(x):
+    return to_sympy([[x]])[0, 0]
+
+
+@SETTINGS
+@given(root_multisets(), nonzero)
+def test_gaussian_roots_of_products(multiset, lead):
+    # a root of multiplicity m scatters numerically by about eps^(1/m), so
+    # the numeric candidates must come from the square-free part
+    coeffs = expand(lead, multiset)
+    found = exactla.gaussian_roots(coeffs)
+    assert dict(found) == multiset and len(found) == len(multiset)
+    # sympy: each root r of multiplicity m kills p, p′, …, p^(m−1) but not
+    # p^(m), and the multiplicities add up to the degree
+    poly = sympy.Poly([to_sympy_cq(c) for c in reversed(coeffs)],
+                      sympy.Symbol("t"), domain=sympy.QQ_I)
+    assert poly.degree() == sum(multiset.values())
+    for r, m in found:
+        derivs = [poly]
+        for _ in range(m):
+            derivs.append(derivs[-1].diff())
+        at_r = [p.eval(to_sympy_cq(r)) for p in derivs]
+        assert at_r[:m] == [0] * m and at_r[m] != 0

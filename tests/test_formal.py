@@ -176,6 +176,18 @@ def test_catalog_round_trips():
         assert models_equal(got, m), name
 
 
+@pytest.mark.parametrize("alpha,partition", [
+    ((1, 3), (3,)), ((1, 3), (4,)), ((1, 3), (2, 2)), ((1, 7), (3, 1)),
+    ((1, 2), (1, 1, 1, 1)), ((1, 2), (2,))])
+def test_repeated_residue_eigenvalue_round_trips(alpha, partition):
+    # one residue eigenvalue of multiplicity 2–4: numeric roots of the full
+    # characteristic polynomial scatter too far to rationalize
+    m = ElementaryModel(1, ((zero(trunc=12),
+                             (RegularBlockData(CQ.of(alpha), partition),)),))
+    got = formal_decompose(assemble_matrix(m, trunc=12))
+    assert models_equal(got, m)
+
+
 def test_airy_decomposition():
     g = catalog.CATALOG["airy"].germ(TR)
     m = formal_decompose(g)
