@@ -183,7 +183,7 @@ def _l2_data(target: str):
             beta=params.get("beta", 0.0), kappa=params.get("kappa", 0),
             ell=params.get("ell", 1), a_ell=a_ell,
             sector=sector, r1=params.get("r1", 0.5))
-    except (TypeError, ValueError, DomainError) as exc:
+    except (TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ParseError(f"bad l2 parameters: {exc}") from exc
     return d, sector, inner, sub_sector
 
@@ -193,7 +193,6 @@ def cmd_l2verify(args) -> int:
     g = SectorGrid.make(sector=sector, r1=d.r1, preset=args.grid)
     width = sector[1] - sector[0]
 
-    excluded = (d.a_ell == 0 and d.beta == 0.0 and d.kappa == 0)
     phase_r = l2lab.phase_sign_check(d, g) if d.a_ell != 0 else None
     psi = l2lab.psi_profile(d, range(-5, 6), g, sub_sector=sub_sector)
     hardy_c = l2lab.hardy_angular(d, inner, sector, g)
@@ -204,7 +203,7 @@ def cmd_l2verify(args) -> int:
     doc = {
         "input": {"target": args.target, "digest": _digest(args.target)},
         "config": _config_echo(args),
-        "excluded_case": excluded,
+        "excluded_case": d.excluded,
         "phase": {"r_phi": phase_r, "tau": d.tau, "ell": d.ell},
         "psi": {"cos_sign": psi["cos_sign"],
                 "kappa_ratio": psi["kappa_ratio"],
@@ -218,7 +217,7 @@ def cmd_l2verify(args) -> int:
         base = os.path.splitext(args.out)[0]
         write_csv(base + ".psi.csv", psi["table"])
         write_csv(base + ".vanishing.csv", vanish)
-    if not excluded and (not hardy_ok or not vanish_ok):
+    if not d.excluded and (not hardy_ok or not vanish_ok):
         return EXIT_BOUND
     return 0
 

@@ -245,41 +245,24 @@ def eigen_data(m: Matrix) -> list[tuple[CQ, int]]:
     return gaussian_roots(charpoly(m))
 
 
-def generalized_eigenspace(m: Matrix, lam: CQ) -> list[list[CQ]]:
+def spectrum(m: Matrix) -> list[tuple[CQ, list[list[CQ]], list[int]]]:
+    """(λ, generalized eigenspace basis, Jordan partition) per eigenvalue.
+
+    The ranks of the powers of m − λ fall until they reach d − mult(λ);
+    the number of Jordan blocks of size ≥ k is the drop from power k − 1
+    to power k.  The basis is the kernel of the last power.
+    """
     d = len(m)
-    shifted = [[m[i][j] - (lam if i == j else CQ_ZERO) for j in range(d)]
-               for i in range(d)]
-    power = eye(d)
-    prev_dim = -1
-    basis: list[list[CQ]] = []
-    for _ in range(d):
-        power = mat_mul(shifted, power)
-        basis = kernel(power)
-        if len(basis) == prev_dim:
-            break
-        prev_dim = len(basis)
-    return basis
-
-
-def nilpotent_partition(n: Matrix) -> list[int]:
-    """Jordan partition of a nilpotent matrix from the rank sequence."""
-    d = len(n)
-    ranks = [d]
-    power = eye(d)
-    for _ in range(d):
-        power = mat_mul(n, power)
-        ranks.append(rank(power))
-        if ranks[-1] == 0:
-            break
-    while len(ranks) < d + 2:
-        ranks.append(0)
-    # number of blocks of size >= k is ranks[k-1] - ranks[k]
-    parts = []
-    for k in range(1, d + 1):
-        count_ge_k = ranks[k - 1] - ranks[k]
-        count_ge_k1 = ranks[k] - ranks[k + 1] if k < d else 0
-        exactly_k = count_ge_k - count_ge_k1
-        parts.extend([k] * exactly_k)
-    parts.sort(reverse=True)
-    return parts
-
+    out = []
+    for lam, mult in eigen_data(m):
+        shifted = [[m[i][j] - (lam if i == j else CQ_ZERO) for j in range(d)]
+                   for i in range(d)]
+        power, ranks = eye(d), [d]
+        while ranks[-1] > d - mult:
+            power = mat_mul(shifted, power)
+            ranks.append(rank(power))
+        drops = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+        partition = [k for k in range(len(drops) - 1, 0, -1)
+                     for _ in range(drops[k - 1] - drops[k])]
+        out.append((lam, kernel(power), partition))
+    return out

@@ -21,8 +21,7 @@ from .model import (ConnectionGerm, ElementaryModel, RegularBlockData, SMatrix,
                     ramified_pullback, smat_coeff, smat_from_const,
                     smat_min_trunc, smat_min_val, smat_mul,
                     twist_by_exponential, unipotent_gauge)
-from .series import (CQ, CQ_ONE, CQ_ZERO, PuiseuxSeries, ps_add, ps_eq_to_trunc,
-                     ps_neg)
+from .series import CQ, PuiseuxSeries, ps_add, ps_eq_to_trunc, ps_neg
 
 RANK_GUARD = 4
 RAM_GUARD = 24
@@ -153,17 +152,14 @@ def irregularity(germ: ConnectionGerm) -> Fraction:
 # -- helpers over constant matrices ----------------------------------------
 
 def _extend_to_basis(vectors: list[list[CQ]], d: int) -> list[list[CQ]]:
-    """Standard vectors completing the given independent set to a basis."""
-    added: list[list[CQ]] = []
-    current = [list(v) for v in vectors]
-    for i in range(d):
-        e = [CQ_ONE if j == i else CQ_ZERO for j in range(d)]
-        if exactla.rank(_cols(current + [e], d)) > len(current):
-            current.append(e)
-            added.append(e)
-        if len(current) == d:
-            break
-    return added
+    """Standard vectors completing the given independent set to a basis.
+
+    The pivot columns of [vectors | I] past the given vectors pick the
+    standard vectors greedily, first index first.
+    """
+    k, eye = len(vectors), exactla.eye(d)
+    aug = [row + e for row, e in zip(_cols(vectors, d), eye)]
+    return [eye[c - k] for c in exactla.rref(aug)[1] if c >= k]
 
 
 def _cols(vectors: list[list[CQ]], d: int) -> exactla.Matrix:
@@ -219,12 +215,6 @@ def _sylvester_solve(left: exactla.Matrix, right: exactla.Matrix,
 
 # -- residue normal form ----------------------------------------------------
 
-def _eigen_groups(a0: exactla.Matrix):
-    """(eigenvalue, generalized eigenspace basis) pairs, exact."""
-    return [(lam, exactla.generalized_eigenspace(a0, lam))
-            for lam, _ in exactla.eigen_data(a0)]
-
-
 def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
     """Regular data of a logarithmic germ: α (Re ∈ [0,1/q)) and partitions.
 
@@ -246,10 +236,10 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
 
     for _ in range(256):
         a0 = smat_coeff(a, 0)
-        groups = _eigen_groups(a0)
+        groups = exactla.spectrum(a0)
         pair = None
-        for lam, _ in groups:
-            for mu, _ in groups:
+        for lam, _, _ in groups:
+            for mu, _, _ in groups:
                 diff = (lam - mu).scale(Fraction(q))
                 if diff.im == 0 and diff.re.denominator == 1 and diff.re > 0:
                     pair = (lam, mu)
@@ -261,7 +251,7 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
         top = pair[0]
         ordered: list[list[CQ]] = []
         weights: list[int] = []
-        for lam, basis in groups:
+        for lam, basis, _ in groups:
             for v in basis:
                 ordered.append(v)
                 weights.append(1 if lam == top else 0)
@@ -272,21 +262,7 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
         raise ConnexionLabError("resonance clearing did not terminate")
 
     blocks = []
-    for lam, basis in groups:
-        b = _cols(basis, d)
-        shifted = [[a0[i][j] - (lam if i == j else CQ_ZERO)
-                    for j in range(d)] for i in range(d)]
-        image = exactla.mat_mul(shifted, b)
-        n_coords = []
-        for col in range(len(basis)):
-            rhs = [image[i][col] for i in range(d)]
-            sol = exactla.solve(b, rhs)
-            if sol is None:
-                raise ConnexionLabError("generalized eigenspace is not invariant")
-            n_coords.append(sol)
-        n_mat = [[n_coords[j][i] for j in range(len(basis))]
-                 for i in range(len(basis))]
-        partition = exactla.nilpotent_partition(n_mat)
+    for lam, _, partition in groups:
         alpha_raw = -lam
         k = floor(alpha_raw.re * q)
         alpha = CQ(alpha_raw.re - Fraction(k, q), alpha_raw.im)
@@ -314,18 +290,16 @@ def split_by_spectrum(germ: ConnectionGerm) -> list[ConnectionGerm]:
     if v < 1:
         raise DomainError("spectral splitting needs an irregular germ")
     lead = smat_coeff(a, -v)
-    groups = _eigen_groups(lead)
+    groups = exactla.spectrum(lead)
     if len(groups) < 2:
         raise DomainError("leading coefficient has a single eigenvalue")
     ordered: list[list[CQ]] = []
     spans: list[tuple[int, int]] = []
     pos = 0
-    for _, basis in groups:
+    for _, basis, _ in groups:
         ordered.extend(basis)
         spans.append((pos, pos + len(basis)))
         pos += len(basis)
-    if pos != d:
-        raise ConnexionLabError("generalized eigenspaces do not fill the space")
     a = _const_gauge(a, _cols(ordered, d))
     trunc = smat_min_trunc(a)
     lead_blocks = []

@@ -68,28 +68,43 @@ class WeightedLineData:
     @classmethod
     def create(cls, beta=0.0, kappa=0, ell=1, a_ell=0.0, tail=None,
                sector=(0.0, 2.0 * math.pi), r1=0.5) -> "WeightedLineData":
+        beta, a_ell = float(beta), complex(a_ell)
+        if not all(map(math.isfinite, (beta, a_ell.real, a_ell.imag, r1))):
+            raise DomainError("β, a_ℓ and r1 must be finite")
         if not 0 < r1 < 1:
             raise DomainError("need 0 < r1 < 1")
         if tail is not None and not tail.is_zero:
             if tail.ram != 1 or any(n < 0 for n in tail.terms):
                 raise DomainError("tail must be holomorphic and unramified")
-        a_ell = complex(a_ell)
         if a_ell == 0:
             ell = 0
+        elif ell < 1:
+            raise DomainError(f"need ℓ >= 1 when a_ℓ ≠ 0, got ℓ = {ell}")
         tau = solve_tau(a_ell, ell)
-        d = cls(float(beta), int(kappa), int(ell), a_ell, tail, tau,
+        d = cls(beta, int(kappa), int(ell), a_ell, tail, tau,
                 (float(sector[0]), float(sector[1])), float(r1))
         d._verify_tau()
         return d
+
+    @property
+    def excluded(self) -> bool:
+        """The flat weight (a_ℓ = 0, β = 0, κ = 0), outside the vanishing theorem."""
+        return self.a_ell == 0 and self.beta == 0 and self.kappa == 0
 
     def _verify_tau(self):
         if self.a_ell == 0:
             return
         for r in (1e-2, 1e-3):
             th = np.linspace(self.sector[0], self.sector[1], 17)
-            lead = abs(self.a_ell) / r ** self.ell
+            scale = r ** self.ell
+            with np.errstate(over="ignore", invalid="ignore"):
+                actual = -np.real(self.a_ell * (r * np.exp(1j * th)) ** (-self.ell))
+            if scale == 0 or not (math.isfinite(abs(self.a_ell) / scale)
+                                  and np.all(np.isfinite(actual))):
+                raise DomainError(f"ℓ = {self.ell} is too large to check the "
+                                  f"τ identity at r = {r}")
+            lead = abs(self.a_ell) / scale
             ident = lead * np.cos(self.ell * th - self.tau)
-            actual = -np.real(self.a_ell * (r * np.exp(1j * th)) ** (-self.ell))
             if np.max(np.abs(actual - ident)) > 1e-9 * lead + 1e-12:
                 raise DomainError("τ identity failed on the coarse grid")
 
@@ -365,9 +380,7 @@ def log_psi(d: WeightedLineData, g: SectorGrid, sector=None) -> np.ndarray:
         sector = (g.thetas[0], g.thetas[-1])
     th = np.linspace(sector[0], sector[1], len(g.thetas))
     rr, tt = np.meshgrid(g.radii, th, indexing="ij")
-    le = 2.0 * d.neg_re_phi(rr, tt)
-    inc = np.logaddexp(le[:, 1:], le[:, :-1]) + np.log(np.diff(th) / 2.0)
-    return np.logaddexp.reduce(inc, axis=1)
+    return _log_cumtrapz(2.0 * d.neg_re_phi(rr, tt), th)[:, -1]
 
 
 def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
@@ -568,14 +581,13 @@ def vanishing_report(d: WeightedLineData, trials: int, g: SectorGrid,
                      seed: int = 0):
     """Monte Carlo over manufactured closed forms; constants tabulated."""
     rows = []
-    excluded = (d.a_ell == 0 and d.beta == 0 and d.kappa == 0)
     rng = np.random.default_rng(seed)
     inner_w = (g.thetas[-1] - g.thetas[0])
     inner = (float(g.thetas[0] + 0.2 * inner_w), float(g.thetas[-1] - 0.2 * inner_w))
     rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
     for trial in range(trials):
         u0, f, gt = _manufactured(rng, g)
-        if excluded:
+        if d.excluded:
             rows.append({"trial": trial, "ratio": float("nan"),
                          "residual": float("nan"), "verdict": "excluded"})
             continue

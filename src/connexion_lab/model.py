@@ -267,7 +267,12 @@ class ElementaryModel:
     blocks: tuple[tuple[PuiseuxSeries, tuple[RegularBlockData, ...]], ...]
 
     def __post_init__(self):
+        if self.ram < 1:
+            raise ValueError("ramification index must be >= 1")
         for phi, regs in self.blocks:
+            if self.ram % phi.ram:
+                raise ValueError(f"phi ramification {phi.ram} does not divide "
+                                 f"the model ramification {self.ram}")
             if any(n >= 0 for n in phi.terms):
                 raise ValueError("phi must have strictly negative support")
             if not regs:

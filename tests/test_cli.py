@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from connexion_lab.cli import main
 
@@ -93,6 +95,45 @@ def test_zero_denominator_in_alpha_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def elementary_spec(ram, blocks):
+    """Spec document; blocks are (φ ram, φ exponent or None, partition)."""
+    return {"form": "elementary", "ram": ram, "blocks": [
+        {"phi": {"ram": phi_ram, "trunc": 8,
+                 "terms": [] if n is None else [[n, 1, 1, -1, 1]]},
+         "regs": [{"alpha": [[1, 3], [0, 1]], "partition": partition}]}
+        for phi_ram, n, partition in blocks]}
+
+
+@pytest.mark.parametrize("ram,phi_ram,message", [
+    (0, 1, "ramification index must be >= 1"),
+    (-2, 1, "ramification index must be >= 1"),
+    (2, 3, "phi ramification 3 does not divide the model ramification 2"),
+])
+def test_elementary_bad_ramification_exits_2(tmp_path, capsys, ram, phi_ram,
+                                             message):
+    path = tmp_path / "bad-ram.json"
+    path.write_text(json.dumps(elementary_spec(ram, [(phi_ram, -1, [1])])))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(st.integers(-2, 4),
+       st.lists(st.tuples(st.integers(1, 4), st.none() | st.integers(-2, -1),
+                          st.lists(st.integers(-1, 3), min_size=1, max_size=2)),
+                min_size=1, max_size=2))
+def test_elementary_specs_exit_0_2_or_3(tmp_path, capsys, ram, blocks):
+    # a spec is analyzed, refused as malformed or refused by the reduction,
+    # never a traceback
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(elementary_spec(ram, blocks)))
+    code, _, err = run(capsys, "analyze", str(path), "--trunc", "8")
+    assert code in (0, 2, 3), err
+
+
 def test_spec_file_analysis(tmp_path, capsys):
     spec = {"form": "matrix", "rank": 1,
             "matrix": [[{"ram": 1, "trunc": 16, "terms": [[-1, -1, 1, 0, 1]]}]]}
@@ -173,6 +214,14 @@ def test_l2verify_cos_zero_sector_exits_5(tmp_path, capsys):
     {"a_ell": 1.0, "sector": [0.3, 1.2], "inner": [2.0, 3.0]},
     {"a_ell": 1.0, "sector": [0.3, 1.2], "inner": [1.0, 0.5]},
     {"a_ell": 1.0, "sector": [0.3, 1.2], "sub_sector": [0.2, 1.0]},
+    {"a_ell": 1.0, "ell": 120},
+    {"a_ell": 1.0, "ell": 0},
+    {"a_ell": 1.0, "ell": -1},
+    {"beta": float("inf")},
+    {"a_ell": 1.0, "beta": float("nan")},
+    {"a_ell": [1.0, float("inf")]},
+    {"r1": float("nan")},
+    {"kappa": float("inf")},
 ])
 def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
     path = tmp_path / "params.json"

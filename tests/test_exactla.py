@@ -1,11 +1,12 @@
 """Exact linear algebra: the sparse `rank` against sympy and against `rref`,
-and `gaussian_roots` against sympy.
+and `gaussian_roots` and `spectrum` against sympy.
 
 `rank` eliminates over sparse rows on its own, apart from `rref`, so
 both must agree with an independent exact rank on every shape the package
 can hand them, including empty and degenerate ones.  `gaussian_roots`
 must return the exact multiset of roots of a product of linear factors
-over Q(i), repeated roots included.
+over Q(i), repeated roots included.  `spectrum` must read back the
+eigenvalues and Jordan partitions of P·J·P⁻¹ from any Jordan matrix J.
 """
 
 from fractions import Fraction
@@ -141,3 +142,87 @@ def test_gaussian_roots_of_products(multiset, lead):
             derivs.append(derivs[-1].diff())
         at_r = [p.eval(to_sympy_cq(r)) for p in derivs]
         assert at_r[:m] == [0] * m and at_r[m] != 0
+
+
+gaussian_ints = st.builds(CQ, st.integers(-2, 2), st.integers(-1, 1))
+
+
+def jordan_conjugate(p, blocks):
+    """(P·J·P⁻¹, {λ: partition}) for J with Jordan blocks (λ, size)."""
+    d = sum(n for _, n in blocks)
+    j, pos = exactla.zeros(d, d), 0
+    for lam, n in blocks:
+        for k in range(pos, pos + n):
+            j[k][k] = lam
+            if k > pos:
+                j[k - 1][k] = CQ.of(1)
+        pos += n
+    m = exactla.mat_mul(exactla.mat_mul(p, j), exactla.inverse(p))
+    expected: dict = {}
+    for lam, n in blocks:
+        expected.setdefault(lam, []).append(n)
+    return m, {lam: sorted(ns, reverse=True) for lam, ns in expected.items()}
+
+
+@st.composite
+def jordan_conjugates(draw):
+    """A Jordan matrix of size ≤ 4 conjugated by a Gaussian-integer P."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+                 .filter(lambda s: sum(s) <= 4))
+    lams = draw(st.lists(small_roots, min_size=1, max_size=len(sizes),
+                         unique=True))
+    d = sum(sizes)
+    p = draw(st.lists(st.lists(gaussian_ints, min_size=d, max_size=d),
+                      min_size=d, max_size=d)
+             .filter(lambda p: exactla.rank(p) == d))
+    return jordan_conjugate(p, [(draw(st.sampled_from(lams)), n) for n in sizes])
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(jordan_conjugates())
+def test_spectrum_reads_back_jordan_form(case):
+    m, expected = case
+    d = len(m)
+    spec = exactla.spectrum(m)
+    assert [lam for lam, _, _ in spec] == [lam for lam, _ in exactla.eigen_data(m)]
+    assert {lam: part for lam, _, part in spec} == expected
+    for lam, basis, part in spec:
+        assert len(basis) == sum(part) == exactla.rank(basis)
+        shifted = [[m[i][k] - (lam if i == k else CQ_ZERO) for k in range(d)]
+                   for i in range(d)]
+        power = exactla.eye(d)
+        for _ in range(d):
+            power = exactla.mat_mul(shifted, power)
+        cols = [[v[i] for v in basis] for i in range(d)]
+        assert all(x.is_zero for row in exactla.mat_mul(power, cols) for x in row)
+
+
+def sympy_jordan_partitions(m):
+    """{λ: partition} read off the Jordan form sympy computes."""
+    j = to_sympy(m).jordan_form(calc_transform=False)
+    d, out, start = j.shape[0], {}, 0
+    for k in range(d):
+        if k == d - 1 or j[k, k + 1] == 0:
+            out.setdefault(sympy.nsimplify(j[k, k]), []).append(k + 1 - start)
+            start = k + 1
+    return {lam: sorted(ns, reverse=True) for lam, ns in out.items()}
+
+
+# sympy's jordan_form takes 0.2–4 s on a 4 × 4 over Q(i), too slow for
+# every hypothesis example, so it checks the oracle on two fixed cases
+GAUGE = [[c(1), c(1), c(0), c(0)], [c(0), c(1), c(0, 1), c(0)],
+         [c(0), c(0), c(1), c(1)], [c(1), c(0), c(0), c(1)]]
+
+
+@pytest.mark.parametrize("blocks", [
+    [(c((1, 3), (-2, 5)), 2), (c((-1, 2), (1, 7)), 1), (c((1, 3), (-2, 5)), 1)],
+    [(c(1, 1), 2), (c(1, 1), 2)],
+])
+def test_spectrum_matches_sympy_jordan_form(blocks):
+    m, expected = jordan_conjugate(GAUGE, blocks)
+    spec = exactla.spectrum(m)
+    assert {lam: part for lam, _, part in spec} == expected
+    assert sympy_jordan_partitions(m) == {to_sympy_cq(lam): part
+                                          for lam, part in expected.items()}

@@ -303,6 +303,34 @@ def test_weighted_line_data_validation():
         WeightedLineData.create(tail=bad_tail)
 
 
+@pytest.mark.parametrize("params,message", [
+    ({"a_ell": 1.0, "ell": 0}, "need ℓ >= 1"),
+    ({"a_ell": 1.0, "ell": -2}, "need ℓ >= 1"),
+    ({"a_ell": 1.0, "ell": 103}, "too large to check the τ identity"),
+    ({"a_ell": 1.0, "ell": 120}, "too large to check the τ identity"),
+    ({"beta": math.inf}, "must be finite"),
+    ({"a_ell": 1.0, "beta": math.nan}, "must be finite"),
+    ({"a_ell": complex(1.0, math.inf)}, "must be finite"),
+    ({"a_ell": math.nan}, "must be finite"),
+    ({"r1": math.nan}, "must be finite"),
+])
+def test_weighted_line_data_rejects_meaningless_weights(params, message):
+    with pytest.raises(DomainError, match=message):
+        WeightedLineData.create(**params)
+
+
+def test_weighted_line_data_accepts_large_finite_ell():
+    d = WeightedLineData.create(a_ell=1.0, ell=100)
+    assert d.ell == 100 and not d.excluded
+
+
+def test_excluded_is_the_flat_weight_only():
+    assert flat().excluded
+    assert not flat(beta=0.5).excluded
+    assert not flat(kappa=1).excluded
+    assert not WeightedLineData.create(a_ell=1j, ell=1).excluded
+
+
 # -- whole-grid kernels against per-radius reference loops --------------------
 # The references are the row-by-row versions the kernels replaced; the
 # kernels must reproduce them bit for bit.
