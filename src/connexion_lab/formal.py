@@ -21,7 +21,7 @@ from .model import (ConnectionGerm, ElementaryModel, RegularBlockData, SMatrix,
                     ramified_pullback, smat_coeff, smat_from_const,
                     smat_min_trunc, smat_min_val, smat_mul,
                     twist_by_exponential, unipotent_gauge)
-from .series import CQ, PuiseuxSeries, ps_add, ps_eq_to_trunc, ps_neg
+from .series import CQ, CQ_ZERO, PuiseuxSeries, ps_add, ps_eq_to_trunc, ps_neg
 
 RANK_GUARD = 4
 RAM_GUARD = 24
@@ -175,8 +175,15 @@ def _const_gauge(a: SMatrix, p: exactla.Matrix) -> SMatrix:
     return smat_mul(pinv, smat_mul(a, ps))
 
 
-def _diag_t_gauge(a: SMatrix, weights: list[int], q: int) -> SMatrix:
-    """Gauge by D = diag(t^{w_i}): scale entries, shift the diagonal."""
+def _shear_gauge(a: SMatrix, vectors: list[list[CQ]],
+                 weights: list[int]) -> SMatrix:
+    """Gauge by P·diag(t^{w_i}), P the columns ``vectors``.
+
+    After A ↦ P⁻¹·A·P the diagonal gauge scales entry (i, j) by
+    t^{w_j − w_i} and shifts the diagonal by −w_i/q.
+    """
+    q = a[0][0].ram
+    a = _const_gauge(a, _cols(vectors, len(a)))
     out: SMatrix = []
     for i, row in enumerate(a):
         new_row = []
@@ -193,26 +200,6 @@ def _diag_t_gauge(a: SMatrix, weights: list[int], q: int) -> SMatrix:
     return out
 
 
-def _sylvester_solve(left: exactla.Matrix, right: exactla.Matrix,
-                     rhs: exactla.Matrix) -> exactla.Matrix | None:
-    """Solve left·X − X·right = rhs for X (exact, vectorized)."""
-    p, n = len(left), len(right)
-    big = exactla.zeros(p * n, p * n)
-    vec_rhs = []
-    for i in range(p):
-        for j in range(n):
-            r = i * n + j
-            vec_rhs.append(rhs[i][j])
-            for k in range(p):
-                big[r][k * n + j] = big[r][k * n + j] + left[i][k]
-            for k in range(n):
-                big[r][i * n + k] = big[r][i * n + k] - right[k][j]
-    x = exactla.solve(big, vec_rhs)
-    if x is None:
-        return None
-    return [[x[i * n + j] for j in range(n)] for i in range(p)]
-
-
 # -- residue normal form ----------------------------------------------------
 
 def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
@@ -226,7 +213,7 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
     logarithmic germ such a gauge leaves A₀ unchanged.  So the tail is
     never computed; the eigenvalues and Jordan partitions are read off A₀.
     """
-    d, q = germ.rank, germ.ram
+    q = germ.ram
     a = germ.matrix
     mv = smat_min_val(a)
     if mv is not None and mv < 0:
@@ -248,16 +235,9 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
                 break
         if pair is None:
             break
-        top = pair[0]
-        ordered: list[list[CQ]] = []
-        weights: list[int] = []
-        for lam, basis, _ in groups:
-            for v in basis:
-                ordered.append(v)
-                weights.append(1 if lam == top else 0)
-        p = _cols(ordered, d)
-        a = _const_gauge(a, p)
-        a = _diag_t_gauge(a, weights, q)
+        a = _shear_gauge(a, [u for _, basis, _ in groups for u in basis],
+                         [int(lam == pair[0]) for lam, basis, _ in groups
+                          for _ in basis])
     else:
         raise ConnexionLabError("resonance clearing did not terminate")
 
@@ -273,69 +253,56 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
 
 # -- spectral splitting ------------------------------------------------------
 
-def split_by_spectrum(germ: ConnectionGerm) -> list[ConnectionGerm]:
-    """Block-diagonalize along the spectrum of the leading coefficient.
+def split_by_spectrum(germ: ConnectionGerm, groups) -> list[ConnectionGerm]:
+    """Block-diagonalize along ``groups``, the spectrum of the leading coefficient.
 
-    Requires a pole (v ≥ 1) and at least two distinct leading eigenvalues;
-    the off-diagonal blocks are removed order by order, exactly, up to the
-    working truncation N (the least entry truncation after the change to
-    the eigenbasis).  Order n is cleared by the gauge I + X·t^{n+v}, applied
+    ``groups`` is ``exactla.spectrum`` of the coefficient of t^{−v}; each
+    group gives one part.  In its basis the leading coefficient L is
+    block-diagonal, and the off-diagonal blocks are removed order by order,
+    exactly, up to the working truncation N (the least entry truncation
+    after the change of basis).  Order n is cleared by the gauge
+    I + X·t^{n+v}, X on the off-diagonal positions solving L·X − X·L = −Aₙ.
+    That Sylvester operator is the same at every order and invertible, the
+    block spectra being disjoint, so it is inverted once.  When N ≤ −v no
+    order is cleared and L need not even be exact.  The gauge is applied
     with ``unipotent_gauge``: the coefficient recurrence
     A′ₖ = (A·G)ₖ − ((n+v)/q)·X·[k = n+v] − X·A′ₖ₋ₙ₋ᵥ, with each entry given the
     truncation that the full product G⁻¹·A·G − G⁻¹·z∂G would give it.
     """
     d, q = germ.rank, germ.ram
-    a = germ.matrix
-    v = -(smat_min_val(a) or 0)
-    if v < 1:
-        raise DomainError("spectral splitting needs an irregular germ")
-    lead = smat_coeff(a, -v)
-    groups = exactla.spectrum(lead)
-    if len(groups) < 2:
-        raise DomainError("leading coefficient has a single eigenvalue")
-    ordered: list[list[CQ]] = []
-    spans: list[tuple[int, int]] = []
-    pos = 0
-    for _, basis, _ in groups:
-        ordered.extend(basis)
-        spans.append((pos, pos + len(basis)))
-        pos += len(basis)
-    a = _const_gauge(a, _cols(ordered, d))
+    v = -(smat_min_val(germ.matrix) or 0)
+    block = [k for k, (_, basis, _) in enumerate(groups) for _ in basis]
+    a = _const_gauge(germ.matrix, _cols([u for _, basis, _ in groups
+                                         for u in basis], d))
     trunc = smat_min_trunc(a)
-    lead_blocks = []
-    lead_now = smat_coeff(a, -v)
-    for lo, hi in spans:
-        lead_blocks.append([[lead_now[i][j] for j in range(lo, hi)]
-                            for i in range(lo, hi)])
+    off = [(i, j) for i in range(d) for j in range(d) if block[i] != block[j]]
+    if trunc > -v:
+        lead = smat_coeff(a, -v)
+        # row (i, j), column (k, l) of X ↦ L·X − X·L on the off positions
+        inv = exactla.inverse([[(lead[i][k] if l == j else CQ_ZERO)
+                                - (lead[l][j] if k == i else CQ_ZERO)
+                                for k, l in off] for i, j in off])
+        solver = [[(k, s) for k, s in enumerate(row) if not s.is_zero]
+                  for row in inv]
 
     for order in range(-v + 1, trunc + 1):
         coef = smat_coeff(a, order)
-        x_full = exactla.zeros(d, d)
-        dirty = False
-        for bi, (lo_i, hi_i) in enumerate(spans):
-            for bj, (lo_j, hi_j) in enumerate(spans):
-                if bi == bj:
-                    continue
-                c = [[coef[i][j] for j in range(lo_j, hi_j)]
-                     for i in range(lo_i, hi_i)]
-                if all(x.is_zero for row in c for x in row):
-                    continue
-                x = _sylvester_solve(lead_blocks[bi], lead_blocks[bj],
-                                     [[-y for y in row] for row in c])
-                if x is None:
-                    raise ConnexionLabError("leading Sylvester block is singular")
-                for i in range(hi_i - lo_i):
-                    for j in range(hi_j - lo_j):
-                        x_full[lo_i + i][lo_j + j] = x[i][j]
-                dirty = True
-        if dirty:
-            a = unipotent_gauge(a, x_full, order + v, trunc)
+        rhs = [-coef[i][j] for i, j in off]
+        if all(c.is_zero for c in rhs):
+            continue
+        if trunc < 0:
+            raise InsufficientTruncation(
+                f"the change to the eigenbasis leaves truncation {trunc}, "
+                f"below 0, to clear order {order}")
+        x = exactla.zeros(d, d)
+        for (i, j), row in zip(off, solver):
+            x[i][j] = sum((s * rhs[k] for k, s in row if not rhs[k].is_zero),
+                          CQ_ZERO)
+        a = unipotent_gauge(a, x, order + v, trunc)
 
-    out = []
-    for lo, hi in spans:
-        sub = [[a[i][j] for j in range(lo, hi)] for i in range(lo, hi)]
-        out.append(ConnectionGerm(hi - lo, q, sub))
-    return out
+    parts = [[i for i in range(d) if block[i] == k] for k in range(len(groups))]
+    return [ConnectionGerm(len(p), q, [[a[i][j] for j in p] for i in p])
+            for p in parts]
 
 
 # -- shearing ----------------------------------------------------------------
@@ -354,9 +321,7 @@ def shear_step(germ: ConnectionGerm) -> ConnectionGerm:
     comp = _extend_to_basis(ker, d)
     ordered = comp + ker
     weights = [1] * len(comp) + [0] * len(ker)
-    a = _const_gauge(a, _cols(ordered, d))
-    a = _diag_t_gauge(a, weights, q)
-    return ConnectionGerm(d, q, a)
+    return ConnectionGerm(d, q, _shear_gauge(a, ordered, weights))
 
 
 # -- full decomposition -------------------------------------------------------
@@ -376,10 +341,12 @@ def _merge_regs(regs: tuple[RegularBlockData, ...]) -> tuple[RegularBlockData, .
     return tuple(out)
 
 
-def _merge_blocks(blocks, ram: int) -> ElementaryModel:
-    lifted = [(phi.lift_ram(ram), regs) for phi, regs in blocks]
+def _merge_blocks(blocks) -> ElementaryModel:
+    """One model from (φ, regs) pairs, φ's equal to truncation merged."""
+    ram = lcm(*(phi.ram for phi, _ in blocks))
     merged: list[tuple[PuiseuxSeries, tuple[RegularBlockData, ...]]] = []
-    for phi, regs in lifted:
+    for phi, regs in blocks:
+        phi = phi.lift_ram(ram)
         for k, (phi_k, regs_k) in enumerate(merged):
             if ps_eq_to_trunc(phi, phi_k):
                 merged[k] = (phi_k, _merge_regs(regs_k + regs))
@@ -419,20 +386,14 @@ def _decompose(germ: ConnectionGerm) -> ElementaryModel:
             if q * r > RAM_GUARD:
                 raise RamificationGuardExceeded(
                     f"needed ramification {q * r} exceeds the guard {RAM_GUARD}")
-            sub = ramified_pullback(cur, r)
-            sub_model = _decompose(sub)
-            ram_z = lcm(sub_model.ram * r, q)
-            blocks = []
-            for phi, regs in sub_model.blocks:
-                # re-read the sub-model series relative to the base variable
-                phi_z = PuiseuxSeries(phi.ram * r, dict(phi.terms), phi.trunc)
-                regs_z = tuple(
-                    RegularBlockData(reg.alpha.scale(Fraction(1, r)),
-                                     reg.partition, reg.lattice_shift)
-                    for reg in regs)
-                blocks.append((ps_add(phi_z.lift_ram(ram_z),
-                                      phi_acc.lift_ram(ram_z)), regs_z))
-            return _merge_blocks(blocks, ram_z)
+            # re-read the sub-model series relative to the base variable
+            return _merge_blocks([
+                (ps_add(PuiseuxSeries(phi.ram * r, dict(phi.terms), phi.trunc),
+                        phi_acc),
+                 tuple(RegularBlockData(reg.alpha.scale(Fraction(1, r)),
+                                        reg.partition, reg.lattice_shift)
+                       for reg in regs))
+                for phi, regs in _decompose(ramified_pullback(cur, r)).blocks])
 
         if v > s_t:
             if shear_budget == 0:
@@ -443,23 +404,15 @@ def _decompose(germ: ConnectionGerm) -> ElementaryModel:
 
         if s_t == 0:
             regs = residue_normal_form(cur)
-            return _merge_blocks([(phi_acc, regs)], q)
+            return _merge_blocks([(phi_acc, regs)])
 
-        lead = smat_coeff(a, -v)
-        eigs = exactla.eigen_data(lead)
-        nonzero = [lam for lam, _ in eigs if not lam.is_zero]
-        if len(eigs) >= 2:
-            parts = split_by_spectrum(cur)
-            sub_models = [_decompose(p) for p in parts]
-            ram_final = q
-            for sm in sub_models:
-                ram_final = lcm(ram_final, sm.ram)
-            blocks = []
-            for sm in sub_models:
-                for phi, regs in sm.blocks:
-                    blocks.append((ps_add(phi.lift_ram(ram_final),
-                                          phi_acc.lift_ram(ram_final)), regs))
-            return _merge_blocks(blocks, ram_final)
+        groups = exactla.spectrum(smat_coeff(a, -v))
+        nonzero = [lam for lam, _, _ in groups if not lam.is_zero]
+        if len(groups) >= 2:
+            return _merge_blocks([
+                (ps_add(phi, phi_acc), regs)
+                for part in split_by_spectrum(cur, groups)
+                for phi, regs in _decompose(part).blocks])
         if not nonzero:
             if shear_budget == 0:
                 raise NilpotentLeading("leading coefficient stays nilpotent")

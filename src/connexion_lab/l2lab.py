@@ -10,6 +10,7 @@ log space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -73,6 +74,10 @@ class WeightedLineData:
             raise DomainError("β, a_ℓ and r1 must be finite")
         if not 0 < r1 < 1:
             raise DomainError("need 0 < r1 < 1")
+        for name, n in (("κ", kappa), ("ℓ", ell)):
+            if isinstance(n, bool) or not (isinstance(n, numbers.Integral) or
+                                           isinstance(n, float) and n.is_integer()):
+                raise DomainError(f"{name} must be an integer, got {n!r}")
         if tail is not None and not tail.is_zero:
             if tail.ram != 1 or any(n < 0 for n in tail.terms):
                 raise DomainError("tail must be holomorphic and unramified")

@@ -157,6 +157,48 @@ def test_decomposition_error_exits_3(tmp_path, capsys):
     assert "IrrationalSpectrum" in err
 
 
+@pytest.mark.parametrize("trunc", ["0", "24"])
+def test_split_below_truncation_0_exits_3(tmp_path, capsys, trunc):
+    # the change to the eigenbasis leaves working truncation -1 while
+    # order -1 is still to be cleared
+    lit = lambda trunc, terms: {"ram": 1, "trunc": trunc, "terms": terms}
+    spec = {"form": "matrix", "rank": 2,
+            "matrix": [[lit(1, []), lit(1, [[0, 1, 1, 0, 1]])],
+                       [lit(1, [[-1, -1, 1, 0, 1]]), lit(2, [[-2, 2, 1, 0, 1]])]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", str(path), "--trunc", trunc)
+    assert code == 3 and out == ""
+    assert err.startswith("decomposition error: InsufficientTruncation:"), err
+
+
+@st.composite
+def matrix_specs(draw):
+    d, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rational = st.tuples(st.integers(-2, 2), st.integers(1, 2))
+    term = st.builds(lambda n, re, im: [n, *re, *im],
+                     st.integers(-3 * q, 1), rational, rational)
+    entry = st.builds(lambda trunc, terms: {"ram": q, "trunc": trunc,
+                                            "terms": terms},
+                      st.integers(0, 12), st.lists(term, max_size=2))
+    rows = st.lists(st.lists(entry, min_size=d, max_size=d),
+                    min_size=d, max_size=d)
+    return {"form": "matrix", "rank": d, "matrix": draw(rows)}
+
+
+# derandomized: the same 150 specs on every run, so a regression that one
+# of them exposes fails every time
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(matrix_specs())
+def test_matrix_specs_exit_0_2_or_3(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code in (0, 2, 3), err
+
+
 def test_analyze_out_writes_report_and_csv(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "analyze", "rank2-stokes", "--out",
@@ -222,6 +264,13 @@ def test_l2verify_cos_zero_sector_exits_5(tmp_path, capsys):
     {"a_ell": [1.0, float("inf")]},
     {"r1": float("nan")},
     {"kappa": float("inf")},
+    {"a_ell": 1.0, "ell": 1.5, "sector": [0.3, 1.2]},
+    {"a_ell": 1.0, "ell": True, "sector": [0.3, 1.2]},
+    {"a_ell": 1.0, "ell": "2", "sector": [0.3, 1.2]},
+    {"ell": 1.5},
+    {"kappa": 1.5},
+    {"kappa": True},
+    {"kappa": "2"},
 ])
 def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
     path = tmp_path / "params.json"
@@ -229,6 +278,23 @@ def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
     code, out, err = run(capsys, "l2verify", str(path), "--grid", "coarse")
     assert code == 2
     assert out == "" and err.startswith("error:"), err
+
+
+def test_l2verify_integral_floats_run_as_integers(tmp_path, capsys):
+    docs = []
+    for ell, kappa in ((1, 1), (1.0, 1.0)):
+        path = tmp_path / f"params-{ell}.json"
+        path.write_text(json.dumps({"a_ell": -1.0, "ell": ell, "kappa": kappa,
+                                    "sector": [2.0, 2.9],
+                                    "inner": [2.25, 2.65]}))
+        code, out, _ = run(capsys, "l2verify", str(path), "--grid", "coarse",
+                           "--trials", "1")
+        assert code == 0
+        doc = json.loads(out)
+        del doc["input"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["phase"]["ell"] == 1
 
 
 @pytest.mark.parametrize("argv", [

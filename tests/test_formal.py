@@ -10,9 +10,10 @@ from connexion_lab.formal import (formal_decompose, irregularity,
                                   newton_polygon, residue_normal_form,
                                   split_by_spectrum)
 from connexion_lab.model import (ConnectionGerm, ElementaryModel,
-                                 RegularBlockData, assemble_matrix)
+                                 RegularBlockData, assemble_matrix,
+                                 smat_coeff)
 from connexion_lab.series import CQ, PuiseuxSeries, ps_eq_to_trunc
-from connexion_lab import catalog
+from connexion_lab import catalog, exactla
 
 TR = 24
 
@@ -159,7 +160,7 @@ def test_split_by_spectrum_blocks():
     g = ConnectionGerm.from_matrix([
         [mono(1, -1, 1), const(1)],
         [const(0), mono(1, -1, -1)]])
-    parts = split_by_spectrum(g)
+    parts = split_by_spectrum(g, exactla.spectrum(smat_coeff(g.matrix, -1)))
     assert sorted(p.rank for p in parts) == [1, 1]
     leads = sorted(p.matrix[0][0].coeff(-1).re for p in parts)
     assert leads == [Fraction(-1), Fraction(1)]

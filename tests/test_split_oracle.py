@@ -1,0 +1,153 @@
+"""The spectral split against a pairwise oracle.
+
+``eager_split`` is the earlier ``formal.split_by_spectrum``: it reads the
+spectrum itself and, at every order, solves one Kronecker Sylvester
+system per pair of blocks.  The split in ``formal`` takes the spectrum
+from its caller and inverts one Sylvester operator per split; its parts
+must equal the oracle's, entries, terms and truncations alike.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from connexion_lab import exactla
+from connexion_lab.errors import InsufficientTruncation
+from connexion_lab.formal import _cols, _const_gauge, split_by_spectrum
+from connexion_lab.model import (ConnectionGerm, smat_coeff, smat_min_trunc,
+                                 smat_min_val, unipotent_gauge)
+from connexion_lab.series import CQ, CQ_ZERO, PuiseuxSeries
+
+
+def _sylvester_solve(left, right, rhs):
+    """Solve left·X − X·right = rhs for X (exact, vectorized)."""
+    p, n = len(left), len(right)
+    big = exactla.zeros(p * n, p * n)
+    vec_rhs = []
+    for i in range(p):
+        for j in range(n):
+            r = i * n + j
+            vec_rhs.append(rhs[i][j])
+            for k in range(p):
+                big[r][k * n + j] = big[r][k * n + j] + left[i][k]
+            for k in range(n):
+                big[r][i * n + k] = big[r][i * n + k] - right[k][j]
+    x = exactla.solve(big, vec_rhs)
+    assert x is not None, "leading Sylvester block is singular"
+    return [[x[i * n + j] for j in range(n)] for i in range(p)]
+
+
+def eager_split(germ):
+    """Clear every off-diagonal block pair, order by order, one solve each."""
+    d, q = germ.rank, germ.ram
+    a = germ.matrix
+    v = -(smat_min_val(a) or 0)
+    groups = exactla.spectrum(smat_coeff(a, -v))
+    ordered, spans, pos = [], [], 0
+    for _, basis, _ in groups:
+        ordered.extend(basis)
+        spans.append((pos, pos + len(basis)))
+        pos += len(basis)
+    a = _const_gauge(a, _cols(ordered, d))
+    trunc = smat_min_trunc(a)
+    lead_now = smat_coeff(a, -v)
+    lead_blocks = [[[lead_now[i][j] for j in range(lo, hi)]
+                    for i in range(lo, hi)] for lo, hi in spans]
+    for order in range(-v + 1, trunc + 1):
+        coef = smat_coeff(a, order)
+        x_full = exactla.zeros(d, d)
+        dirty = False
+        for bi, (lo_i, hi_i) in enumerate(spans):
+            for bj, (lo_j, hi_j) in enumerate(spans):
+                if bi == bj:
+                    continue
+                c = [[coef[i][j] for j in range(lo_j, hi_j)]
+                     for i in range(lo_i, hi_i)]
+                if all(x.is_zero for row in c for x in row):
+                    continue
+                x = _sylvester_solve(lead_blocks[bi], lead_blocks[bj],
+                                     [[-y for y in row] for row in c])
+                for i in range(hi_i - lo_i):
+                    for j in range(hi_j - lo_j):
+                        x_full[lo_i + i][lo_j + j] = x[i][j]
+                dirty = True
+        if dirty:
+            a = unipotent_gauge(a, x_full, order + v, trunc)
+    return [ConnectionGerm(hi - lo, q, [[a[i][j] for j in range(lo, hi)]
+                                        for i in range(lo, hi)])
+            for lo, hi in spans]
+
+
+def _germ(q, v, trunc, p, coeffs):
+    """P⁻¹·(Σₙ Aₙ·tⁿ)·P with every entry at truncation ``trunc``."""
+    p_inv = exactla.inverse(p)
+    conj = {n: exactla.mat_mul(p_inv, exactla.mat_mul(c, p))
+            for n, c in coeffs.items()}
+    d = len(p)
+    return ConnectionGerm(d, q, [[PuiseuxSeries(q, {n: c[i][j] for n, c in conj.items()},
+                                                trunc) for j in range(d)]
+                                 for i in range(d)])
+
+
+gint = st.builds(CQ.of, st.integers(-1, 1), st.integers(-1, 1))
+
+
+@st.composite
+def split_germs(draw):
+    """Block-diagonal lead·t^{−v} plus random lower orders, conjugated by P."""
+    q, v = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)
+                 .filter(lambda s: sum(s) <= 4))
+    d = sum(sizes)
+    eigs = draw(st.lists(st.builds(CQ.of, st.integers(-3, 3), st.integers(-2, 2)),
+                         min_size=len(sizes), max_size=len(sizes), unique=True))
+    lead, pos = exactla.zeros(d, d), 0
+    for lam, size in zip(eigs, sizes):
+        for i in range(pos, pos + size):
+            lead[i][i] = lam
+            for j in range(i + 1, pos + size):
+                lead[i][j] = draw(gint)
+        pos += size
+    trunc = draw(st.integers(0, 10))
+    mats = st.lists(st.lists(gint, min_size=d, max_size=d), min_size=d, max_size=d)
+    coeffs = {-v: lead}
+    for n in draw(st.lists(st.integers(-v + 1, trunc), max_size=4, unique=True)):
+        coeffs[n] = draw(mats)
+    p = draw(mats.filter(lambda m: exactla.rank(m) == d))
+    return _germ(q, v, trunc, p, coeffs)
+
+
+def _check(germ):
+    v = -smat_min_val(germ.matrix)
+    groups = exactla.spectrum(smat_coeff(germ.matrix, -v))
+    try:
+        want = eager_split(germ)
+    except ValueError:  # the oracle's gauge refuses a truncation below 0
+        with pytest.raises(InsufficientTruncation):
+            split_by_spectrum(germ, groups)
+        return
+    got = split_by_spectrum(germ, groups)
+    assert [g.rank for g in got] == [w.rank for w in want]
+    for g, w in zip(got, want):
+        assert g.ram == w.ram and g.matrix == w.matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_germs())
+def test_split_matches_pairwise_oracle(germ):
+    _check(germ)
+
+
+@pytest.mark.parametrize("trunc,working", [(0, -2), (1, -1), (4, 2)])
+def test_split_matches_oracle_at_low_truncation(trunc, working):
+    # v = 2: at working truncation −2 nothing is cleared, at −1 order −1
+    # would be cleared below truncation 0, at 2 orders −1 … 2 are cleared
+    one, i = CQ.of(1), CQ.of(0, 1)
+    lead = [[one, one, CQ_ZERO], [CQ_ZERO, one, CQ_ZERO],
+            [CQ_ZERO, CQ_ZERO, -i]]
+    low = [[one, CQ_ZERO, i], [CQ_ZERO, CQ_ZERO, one], [one, -one, CQ_ZERO]]
+    p = [[one, one, CQ_ZERO], [CQ_ZERO, one, i], [one, CQ_ZERO, one]]
+    germ = _germ(1, 2, trunc, p, {-2: lead, -1: low, 0: low})
+    basis = [u for _, b, _ in exactla.spectrum(lead) for u in b]
+    assert smat_min_trunc(_const_gauge(germ.matrix, _cols(basis, 3))) == working
+    _check(germ)
