@@ -99,6 +99,9 @@ def cmd_analyze(args) -> int:
     entry, germ = _load_target(args.target, args.trunc)
     model = formal.formal_decompose(germ)
     report = formal.decomposition_summary(germ, model)
+    # the index refuses a non-integral irregularity: before the metric work
+    h0, h1 = index.local_min_dims(model)
+    index_summary = {"h0_min": h0, "h1_min": h1, "irr": h1}
 
     mm = adapted_metric_frame(model)
     zs = _sample_points(args.seed)
@@ -119,10 +122,6 @@ def cmd_analyze(args) -> int:
         "pseudo_max": float(np.max([r["pseudo_norm"] for r in rows])),
         "glued": gd is not None,
     }
-
-    h0, h1 = index.local_min_dims(model)
-    index_summary = {"h0_min": h0, "h1_min": h1,
-                     "irr": index.model_irregularity(model)}
 
     l2_summary = None
     if entry is not None and entry.l2:

@@ -35,8 +35,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             aik = a[i][k]
             if aik.is_zero:
                 continue
-            for j in range(cols):
-                out[i][j] = out[i][j] + aik * b[k][j]
+            for j, bkj in enumerate(b[k]):
+                if not bkj.is_zero:
+                    out[i][j] = out[i][j] + aik * bkj
     return out
 
 
@@ -203,10 +204,6 @@ def _square_free(p: list[CQ]) -> list[CQ]:
     return p if len(a) == 1 else _poly_divmod(p, a)[0]
 
 
-def _rationalize(x: float, max_den: int = 10 ** 6) -> Fraction:
-    return Fraction(x).limit_denominator(max_den)
-
-
 def gaussian_roots(coeffs: list[CQ]) -> list[tuple[CQ, int]]:
     """All roots in Q(i) with multiplicities; raises if any root is outside.
 
@@ -219,10 +216,10 @@ def gaussian_roots(coeffs: list[CQ]) -> list[tuple[CQ, int]]:
     work = _trim(coeffs)
     if len(work) <= 1:
         return []
-    numeric = np.roots([c.to_complex() for c in reversed(_square_free(work))])
-    candidates = []
-    for z in numeric:
-        candidates.append(CQ(_rationalize(z.real), _rationalize(z.imag)))
+    candidates = [CQ(Fraction(z.real).limit_denominator(10 ** 6),
+                     Fraction(z.imag).limit_denominator(10 ** 6))
+                  for z in np.roots([c.to_complex()
+                                     for c in reversed(_square_free(work))])]
     found: list[tuple[CQ, int]] = []
     for cand in candidates:
         if any(cand == r for r, _ in found):

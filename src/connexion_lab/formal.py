@@ -18,13 +18,24 @@ from .errors import (DomainError, InsufficientTruncation, NilpotentLeading,
                      NonIntegralIrregularity, NotLogarithmic,
                      RamificationGuardExceeded, ConnexionLabError)
 from .model import (ConnectionGerm, ElementaryModel, RegularBlockData, SMatrix,
-                    ramified_pullback, smat_coeff, smat_from_const,
-                    smat_min_trunc, smat_min_val, smat_mul,
+                    ramified_pullback, smat_coeff, smat_min_trunc, smat_min_val,
                     twist_by_exponential, unipotent_gauge)
 from .series import CQ, CQ_ZERO, PuiseuxSeries, ps_add, ps_eq_to_trunc, ps_neg
 
 RANK_GUARD = 4
 RAM_GUARD = 24
+#: watermark of the first attempt of ``formal_decompose``
+FIRST_WATERMARK = 2
+
+
+class NeedOrder(Exception):
+    """Internal: a read above a germ's watermark.  ``formal_decompose`` then
+    starts again with the watermark doubled, so this never escapes it."""
+
+
+def _need(germ: ConnectionGerm, order: int) -> None:
+    if germ.exact is not None and order > germ.exact:
+        raise NeedOrder(order)
 
 
 # -- Newton polygon --------------------------------------------------------
@@ -84,6 +95,7 @@ def newton_polygon(germ: ConnectionGerm) -> NewtonPolygon:
     """
     d, q, mat = germ.rank, germ.ram, germ.matrix
     p = max(0, -(smat_min_val(mat) or 0))
+    _need(germ, max(-1, (d - 1) * p - 1))
     read = [[[(n, c) for n, c in s.terms.items() if n < (d - 1) * p]
              for s in row] for row in mat]
     den = lcm(1, *(x.denominator for row in read for ts in row
@@ -123,14 +135,11 @@ def newton_polygon(germ: ConnectionGerm) -> NewtonPolygon:
     pts.sort()
     # lower convex hull, left to right
     hull: list[tuple[int, Fraction]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
+    for x, y in pts:
+        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])
+                                  >= (y - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((x, y))
     slopes: list[tuple[Fraction, int]] = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         s = max(Fraction(0), Fraction(y2 - y1, x2 - x1))
@@ -166,38 +175,58 @@ def _cols(vectors: list[list[CQ]], d: int) -> exactla.Matrix:
     return [[vectors[j][i] for j in range(len(vectors))] for i in range(d)]
 
 
-def _const_gauge(a: SMatrix, p: exactla.Matrix) -> SMatrix:
-    """A ↦ P⁻¹·A·P for a constant invertible P (no derivative term)."""
-    ram = a[0][0].ram
-    trunc = smat_min_trunc(a)
-    ps = smat_from_const(p, ram, trunc)
-    pinv = smat_from_const(exactla.inverse(p), ram, trunc)
-    return smat_mul(pinv, smat_mul(a, ps))
+def _const_gauge(a: SMatrix, p: exactla.Matrix, top: int | None = None) -> SMatrix:
+    """A ↦ P⁻¹·A·P for a constant invertible P, one order at a time.
+
+    Each entry keeps the truncation of smat_mul(P⁻¹, smat_mul(A, P)) with P
+    and P⁻¹ constant series at the least truncation T (empty when T < 0):
+    a product takes min(N₁ + v₂, N₂ + v₁), v the valuation (the trunc of an
+    empty entry), and a sum its least truncation.  Orders above ``top`` are
+    not computed.  A valuation above ``top`` enters only as T + v, which is
+    then at least the greatest truncation and never below the term of a
+    nonzero entry of P or P⁻¹, so every truncation is exact.
+    """
+    d, q, t = len(a), a[0][0].ram, smat_min_trunc(a)
+    hi = max(s.trunc for row in a for s in row)
+    if top is not None and top < hi - t - 1:
+        raise NeedOrder(hi - t - 1)
+    cap = hi if top is None else top
+    pinv = exactla.inverse(p)
+    ap = {n: exactla.mat_mul(smat_coeff(a, n), p) for n in sorted(
+        {n for row in a for s in row for n in s.terms if n <= cap}) if t >= 0}
+    t1 = [[min(min(s.trunc + (0 if t >= 0 and not p[l][j].is_zero else t),
+                   t + min(s.val_or_trunc(), cap + 1)) for l, s in enumerate(row))
+           for j in range(d)] for row in a]
+    v1 = [[min([n for n in ap if n <= t1[k][j] and not ap[n][k][j].is_zero]
+               + [t1[k][j], cap + 1]) for j in range(d)] for k in range(d)]
+    t2 = [[min(min(t + v1[k][j], t1[k][j] + (0 if t >= 0 and not pinv[i][k].is_zero
+                                              else t)) for k in range(d))
+           for j in range(d)] for i in range(d)]
+    out = {n: exactla.mat_mul(pinv, m) for n, m in ap.items()}
+    return [[PuiseuxSeries(q, {n: c[i][j] for n, c in out.items()}, t2[i][j])
+             for j in range(d)] for i in range(d)]
 
 
-def _shear_gauge(a: SMatrix, vectors: list[list[CQ]],
-                 weights: list[int]) -> SMatrix:
-    """Gauge by P·diag(t^{w_i}), P the columns ``vectors``.
+def _shear_gauge(germ: ConnectionGerm, vectors: list[list[CQ]],
+                 weights: list[int]) -> ConnectionGerm:
+    """Gauge by P·diag(t^{w_i}), P the columns ``vectors``, each w_i 0 or 1.
 
     After A ↦ P⁻¹·A·P the diagonal gauge scales entry (i, j) by
-    t^{w_j − w_i} and shifts the diagonal by −w_i/q.
+    t^{w_j − w_i} and shifts the diagonal by −w_i/q.  An entry moved down
+    reads one order higher, so the watermark drops by one.
     """
-    q = a[0][0].ram
-    a = _const_gauge(a, _cols(vectors, len(a)))
-    out: SMatrix = []
-    for i, row in enumerate(a):
-        new_row = []
-        for j, s in enumerate(row):
-            shift = weights[j] - weights[i]
-            if shift:
-                s = PuiseuxSeries(s.ram, {n + shift: c for n, c in s.terms.items()},
-                                  s.trunc + shift)
-            if i == j and weights[i]:
-                s = ps_add(s, PuiseuxSeries(
-                    s.ram, {0: CQ.of(Fraction(-weights[i], q))}, s.trunc))
-            new_row.append(s)
-        out.append(new_row)
-    return out
+    q = germ.ram
+
+    def entry(i, j, s):
+        terms = {n + weights[j] - weights[i]: c for n, c in s.terms.items()}
+        if i == j and weights[i]:
+            terms[0] = terms.get(0, CQ_ZERO) + CQ.of(Fraction(-weights[i], q))
+        return PuiseuxSeries(q, terms, s.trunc + weights[j] - weights[i])
+
+    a = _const_gauge(germ.matrix, _cols(vectors, germ.rank), germ.exact)
+    return ConnectionGerm(germ.rank, q, [[entry(i, j, s) for j, s in enumerate(row)]
+                                         for i, row in enumerate(a)],
+                          None if germ.exact is None else germ.exact - 1)
 
 
 # -- residue normal form ----------------------------------------------------
@@ -214,46 +243,38 @@ def residue_normal_form(germ: ConnectionGerm) -> tuple[RegularBlockData, ...]:
     never computed; the eigenvalues and Jordan partitions are read off A₀.
     """
     q = germ.ram
-    a = germ.matrix
-    mv = smat_min_val(a)
+    mv = smat_min_val(germ.matrix)
     if mv is not None and mv < 0:
         raise NotLogarithmic(f"pole of order {-mv} in the ramified variable")
-    if smat_min_trunc(a) < 1:
+    if smat_min_trunc(germ.matrix) < 1:
         raise InsufficientTruncation("need at least one positive order")
 
     for _ in range(256):
-        a0 = smat_coeff(a, 0)
+        _need(germ, 0)
+        a0 = smat_coeff(germ.matrix, 0)
         groups = exactla.spectrum(a0)
-        pair = None
-        for lam, _, _ in groups:
-            for mu, _, _ in groups:
-                diff = (lam - mu).scale(Fraction(q))
-                if diff.im == 0 and diff.re.denominator == 1 and diff.re > 0:
-                    pair = (lam, mu)
-                    break
-            if pair:
-                break
-        if pair is None:
+        # an eigenvalue above another by a positive multiple of 1/q
+        high = next((lam for lam, _, _ in groups for mu, _, _ in groups
+                     if (x := (lam - mu).scale(Fraction(q))).im == 0
+                     and x.re.denominator == 1 and x.re > 0), None)
+        if high is None:
             break
-        a = _shear_gauge(a, [u for _, basis, _ in groups for u in basis],
-                         [int(lam == pair[0]) for lam, basis, _ in groups
-                          for _ in basis])
+        germ = _shear_gauge(germ, [u for _, basis, _ in groups for u in basis],
+                            [int(lam == high) for lam, basis, _ in groups
+                             for _ in basis])
     else:
         raise ConnexionLabError("resonance clearing did not terminate")
 
-    blocks = []
-    for lam, _, partition in groups:
-        alpha_raw = -lam
-        k = floor(alpha_raw.re * q)
-        alpha = CQ(alpha_raw.re - Fraction(k, q), alpha_raw.im)
-        blocks.append(RegularBlockData(alpha, tuple(partition), k))
-    blocks.sort(key=lambda r: (r.alpha.re, r.alpha.im, r.partition))
-    return tuple(blocks)
+    blocks = [RegularBlockData(CQ(-lam.re - Fraction(k, q), -lam.im),
+                               tuple(partition), k)
+              for lam, _, partition in groups for k in [floor(-lam.re * q)]]
+    return tuple(sorted(blocks, key=lambda r: (r.alpha.re, r.alpha.im, r.partition)))
 
 
 # -- spectral splitting ------------------------------------------------------
 
-def split_by_spectrum(germ: ConnectionGerm, groups) -> list[ConnectionGerm]:
+def split_by_spectrum(germ: ConnectionGerm, groups,
+                      top: int | None = None) -> list[ConnectionGerm]:
     """Block-diagonalize along ``groups``, the spectrum of the leading coefficient.
 
     ``groups`` is ``exactla.spectrum`` of the coefficient of t^{−v}; each
@@ -262,19 +283,35 @@ def split_by_spectrum(germ: ConnectionGerm, groups) -> list[ConnectionGerm]:
     exactly, up to the working truncation N (the least entry truncation
     after the change of basis).  Order n is cleared by the gauge
     I + X·t^{n+v}, X on the off-diagonal positions solving L·X − X·L = −Aₙ.
-    That Sylvester operator is the same at every order and invertible, the
-    block spectra being disjoint, so it is inverted once.  When N ≤ −v no
-    order is cleared and L need not even be exact.  The gauge is applied
-    with ``unipotent_gauge``: the coefficient recurrence
-    A′ₖ = (A·G)ₖ − ((n+v)/q)·X·[k = n+v] − X·A′ₖ₋ₙ₋ᵥ, with each entry given the
-    truncation that the full product G⁻¹·A·G − G⁻¹·z∂G would give it.
+    That operator is the same at every order and invertible, the block
+    spectra being disjoint, so it is inverted once.  When N ≤ −v no order
+    is cleared and L need not even be exact.  ``unipotent_gauge`` applies
+    the gauge, each entry given the truncation that the full product
+    G⁻¹·A·G − G⁻¹·z∂G would give it.
+
+    The parts are exact up to the watermark w (``ConnectionGerm.exact``),
+    the lower of ``top`` and the germ's own; a read above it raises
+    ``NeedOrder``, which ``formal_decompose`` answers.  While order n is
+    not cleared, the diagonal blocks differ from the full split's only from
+    order 2n + v on, so the orders below 0 and up to (w − v) // 2 are
+    cleared, each up to order w.  The truncations need no more.  Every
+    entry truncation stays at least N − v and every valuation at least −v,
+    so at an order n ≥ 0 the terms of the truncation rule that hold X or m
+    are at least N and never attain its minimum, a valuation ν counts only
+    through N + ν, below N only for ν < 0, and the gauge changes nothing
+    below order 0.  Every gauge at an order n ≥ 0 thus moves the truncations
+    as the gauge with X = 0 does.  Once that moves none, no later order
+    does; until then the orders are cleared on.
     """
     d, q = germ.rank, germ.ram
     v = -(smat_min_val(germ.matrix) or 0)
     block = [k for k, (_, basis, _) in enumerate(groups) for _ in basis]
-    a = _const_gauge(germ.matrix, _cols([u for _, basis, _ in groups
-                                         for u in basis], d))
+    change = _cols([u for _, basis, _ in groups for u in basis], d)
+    cap = min((w for w in (germ.exact, top) if w is not None), default=None)
+    a = _const_gauge(germ.matrix, change, germ.exact)
+    known = germ.exact  # a is exact up to this order
     trunc = smat_min_trunc(a)
+    last = trunc if cap is None else max(-1, (cap - v) // 2)
     off = [(i, j) for i in range(d) for j in range(d) if block[i] != block[j]]
     if trunc > -v:
         lead = smat_coeff(a, -v)
@@ -286,6 +323,14 @@ def split_by_spectrum(germ: ConnectionGerm, groups) -> list[ConnectionGerm]:
                   for row in inv]
 
     for order in range(-v + 1, trunc + 1):
+        # every later gauge moves the truncations as one with X = 0 does
+        if order > last and all(x.trunc == s.trunc for pr, row in zip(
+                unipotent_gauge(a, exactla.zeros(d, d), order + v, trunc, -1), a)
+                for x, s in zip(pr, row)):
+            known = cap
+            break
+        if known is not None and order > known:
+            raise NeedOrder(order)
         coef = smat_coeff(a, order)
         rhs = [-coef[i][j] for i, j in off]
         if all(c.is_zero for c in rhs):
@@ -298,10 +343,11 @@ def split_by_spectrum(germ: ConnectionGerm, groups) -> list[ConnectionGerm]:
         for (i, j), row in zip(off, solver):
             x[i][j] = sum((s * rhs[k] for k, s in row if not rhs[k].is_zero),
                           CQ_ZERO)
-        a = unipotent_gauge(a, x, order + v, trunc)
+        a = unipotent_gauge(a, x, order + v, trunc, cap)
+        known = cap
 
     parts = [[i for i in range(d) if block[i] == k] for k in range(len(groups))]
-    return [ConnectionGerm(len(p), q, [[a[i][j] for j in p] for i in p])
+    return [ConnectionGerm(len(p), q, [[a[i][j] for j in p] for i in p], known)
             for p in parts]
 
 
@@ -309,36 +355,30 @@ def split_by_spectrum(germ: ConnectionGerm, groups) -> list[ConnectionGerm]:
 
 def shear_step(germ: ConnectionGerm) -> ConnectionGerm:
     """One Moser-style shear lowering weight off the leading kernel."""
-    d, q = germ.rank, germ.ram
-    a = germ.matrix
-    v = -(smat_min_val(a) or 0)
+    d = germ.rank
+    v = -(smat_min_val(germ.matrix) or 0)
     if v < 1:
         raise DomainError("nothing to shear: the germ is logarithmic")
-    lead = smat_coeff(a, -v)
-    ker = exactla.kernel(lead)
+    ker = exactla.kernel(smat_coeff(germ.matrix, -v))
     if not ker or len(ker) == d:
         raise NilpotentLeading("leading coefficient admits no shearing kernel")
     comp = _extend_to_basis(ker, d)
-    ordered = comp + ker
-    weights = [1] * len(comp) + [0] * len(ker)
-    return ConnectionGerm(d, q, _shear_gauge(a, ordered, weights))
+    return _shear_gauge(germ, comp + ker, [1] * len(comp) + [0] * len(ker))
 
 
 # -- full decomposition -------------------------------------------------------
 
 def _merge_regs(regs: tuple[RegularBlockData, ...]) -> tuple[RegularBlockData, ...]:
-    merged: dict[CQ, list] = {}
+    merged: dict[CQ, RegularBlockData] = {}
     for r in regs:
-        key = r.alpha
-        if key in merged:
-            merged[key][0] = tuple(sorted(merged[key][0] + r.partition,
-                                          reverse=True))
-        else:
-            merged[key] = [r.partition, r.lattice_shift]
-    out = [RegularBlockData(alpha, parts, shift)
-           for alpha, (parts, shift) in merged.items()]
-    out.sort(key=lambda r: (r.alpha.re, r.alpha.im, r.partition))
-    return tuple(out)
+        if r.alpha in merged:
+            first = merged[r.alpha]
+            r = RegularBlockData(r.alpha, tuple(sorted(first.partition + r.partition,
+                                                       reverse=True)),
+                                 first.lattice_shift)
+        merged[r.alpha] = r
+    return tuple(sorted(merged.values(),
+                        key=lambda r: (r.alpha.re, r.alpha.im, r.partition)))
 
 
 def _merge_blocks(blocks) -> ElementaryModel:
@@ -360,32 +400,43 @@ def _merge_blocks(blocks) -> ElementaryModel:
 
 
 def formal_decompose(germ: ConnectionGerm) -> ElementaryModel:
-    """Elementary model of a germ: slopes, exponential parts, regular data."""
+    """Elementary model of a germ: slopes, exponential parts, regular data.
+
+    The splits keep their parts exact up to ``FIRST_WATERMARK``, doubled
+    after each read above it, so only the orders that are read are computed.
+    """
     if germ.rank > RANK_GUARD:
         raise DomainError(f"rank {germ.rank} exceeds the desk-scale guard "
                           f"({RANK_GUARD})")
-    return _decompose(germ)
+    top = FIRST_WATERMARK
+    while True:
+        try:
+            return _decompose(germ, top)
+        except NeedOrder:
+            top *= 2
 
 
-def _decompose(germ: ConnectionGerm) -> ElementaryModel:
-    d = germ.rank
-    q = germ.ram
-    a = germ.matrix
-    trunc0 = smat_min_trunc(a)
-    phi_acc = PuiseuxSeries(q, {}, max(trunc0, 0))
+def _decompose(cur: ConnectionGerm, top: int) -> ElementaryModel:
+    d, q = cur.rank, cur.ram
+    phi_acc = PuiseuxSeries(q, {}, max(smat_min_trunc(cur.matrix), 0))
     shear_budget = 4 * d + 8
 
     for _ in range(64):
-        cur = ConnectionGerm(d, q, a)
         poly = newton_polygon(cur)
         s_t = poly.top_slope * q  # top slope in the ramified variable
-        v = -(smat_min_val(a) or 0)
+        v = -(smat_min_val(cur.matrix) or 0)
 
         if s_t.denominator != 1:
             r = s_t.denominator
             if q * r > RAM_GUARD:
                 raise RamificationGuardExceeded(
                     f"needed ramification {q * r} exceeds the guard {RAM_GUARD}")
+            if q > 1:  # the pullback's ramification reads every order
+                _need(cur, max(s.trunc for row in cur.matrix for s in row))
+            pulled = ramified_pullback(cur, r)
+            if cur.exact is not None:
+                pulled = ConnectionGerm(d, pulled.ram, pulled.matrix,
+                                        (cur.exact + 1) * r - 1)
             # re-read the sub-model series relative to the base variable
             return _merge_blocks([
                 (ps_add(PuiseuxSeries(phi.ram * r, dict(phi.terms), phi.trunc),
@@ -393,37 +444,36 @@ def _decompose(germ: ConnectionGerm) -> ElementaryModel:
                  tuple(RegularBlockData(reg.alpha.scale(Fraction(1, r)),
                                         reg.partition, reg.lattice_shift)
                        for reg in regs))
-                for phi, regs in _decompose(ramified_pullback(cur, r)).blocks])
+                for phi, regs in _decompose(pulled, (top + 1) * r - 1).blocks])
 
         if v > s_t:
             if shear_budget == 0:
                 raise NilpotentLeading("shearing budget exhausted")
             shear_budget -= 1
-            a = shear_step(cur).matrix
+            cur = shear_step(cur)
             continue
 
         if s_t == 0:
-            regs = residue_normal_form(cur)
-            return _merge_blocks([(phi_acc, regs)])
+            return _merge_blocks([(phi_acc, residue_normal_form(cur))])
 
-        groups = exactla.spectrum(smat_coeff(a, -v))
+        groups = exactla.spectrum(smat_coeff(cur.matrix, -v))
         nonzero = [lam for lam, _, _ in groups if not lam.is_zero]
         if len(groups) >= 2:
             return _merge_blocks([
                 (ps_add(phi, phi_acc), regs)
-                for part in split_by_spectrum(cur, groups)
-                for phi, regs in _decompose(part).blocks])
+                for part in split_by_spectrum(cur, groups, top)
+                for phi, regs in _decompose(part, top).blocks])
         if not nonzero:
             if shear_budget == 0:
                 raise NilpotentLeading("leading coefficient stays nilpotent")
             shear_budget -= 1
-            a = shear_step(cur).matrix
+            cur = shear_step(cur)
             continue
-        lam = nonzero[0]
-        c = lam.scale(Fraction(-q, v))
-        phi_part = PuiseuxSeries(q, {-v: c}, phi_acc.trunc)
+        phi_part = PuiseuxSeries(q, {-v: nonzero[0].scale(Fraction(-q, v))},
+                                 phi_acc.trunc)
         phi_acc = ps_add(phi_acc, phi_part)
-        a = twist_by_exponential(cur, ps_neg(phi_part)).matrix
+        cur = ConnectionGerm(d, q, twist_by_exponential(cur, ps_neg(phi_part)).matrix,
+                             cur.exact)
     raise ConnexionLabError("formal reduction did not terminate")
 
 

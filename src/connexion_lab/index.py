@@ -78,10 +78,8 @@ def degree_check(s: SurfaceSpec):
 
 def model_irregularity(m: ElementaryModel) -> int:
     """Irr = Σ rank(block)·(pole order of φ in the base variable)."""
-    total = Fraction(0)
-    ranks = m.block_ranks()
-    for (phi, _), rk, pole in zip(m.blocks, ranks, m.pole_orders_z()):
-        total += rk * pole
+    total = sum((rk * pole for rk, pole in zip(m.block_ranks(), m.pole_orders_z())),
+                Fraction(0))
     if total.denominator != 1:
         raise NonIntegralIrregularity(f"model irregularity {total} not integral")
     return int(total)
@@ -129,9 +127,7 @@ def _window_dims(germ: ConnectionGerm, b: int) -> tuple[int, int]:
                         r2 = cod_index[key]
                         mat[r2][col] = mat[r2][col] + c
     red_rank = exactla.rank(mat)
-    h0 = cols - red_rank
-    h1 = rows - red_rank
-    return h0, h1
+    return cols - red_rank, rows - red_rank
 
 
 def _default_budget(germ: ConnectionGerm) -> int:
@@ -163,11 +159,8 @@ def local_full_dims(germ: ConnectionGerm, budget: int | None = None):
 def global_euler(s: SurfaceSpec) -> int:
     """χ = (2 − 2g − n)·d + Σ_x χ_x^min."""
     n = len(s.punctures)
-    chi = (2 - 2 * s.genus - n) * s.rank
-    for _, m in s.punctures:
-        h0, h1 = local_min_dims(m)
-        chi += h0 - h1
-    return chi
+    return (2 - 2 * s.genus - n) * s.rank + sum(
+        h0 - h1 for h0, h1 in (local_min_dims(m) for _, m in s.punctures))
 
 
 def lefschetz_dims(rep: MonodromyRep):

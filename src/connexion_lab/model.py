@@ -9,8 +9,8 @@ per-φ regular data (α, Jordan partition).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
+from functools import reduce
 from fractions import Fraction
 from math import lcm
 
@@ -29,10 +29,7 @@ SMatrix = list[list[PuiseuxSeries]]
 # -- matrices of series -------------------------------------------------
 
 def smat_common_ram(a: SMatrix) -> tuple[SMatrix, int]:
-    q = 1
-    for row in a:
-        for s in row:
-            q = lcm(q, s.ram)
+    q = lcm(1, *(s.ram for row in a for s in row))
     return [[s.lift_ram(q) for s in row] for row in a], q
 
 
@@ -45,17 +42,8 @@ def smat_sub(a: SMatrix, b: SMatrix) -> SMatrix:
 
 
 def smat_mul(a: SMatrix, b: SMatrix) -> SMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ps_mul(a[i][0], b[0][j])
-            for k in range(1, inner):
-                acc = ps_add(acc, ps_mul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[reduce(ps_add, (ps_mul(a[i][k], b[k][j]) for k in range(len(b))))
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def smat_derive(a: SMatrix) -> SMatrix:
@@ -122,7 +110,8 @@ def gauge_transform(a: SMatrix, g: SMatrix) -> SMatrix:
                     smat_mul(g_inv, smat_derive(g)))
 
 
-def unipotent_gauge(a: SMatrix, x, m: int, trunc: int) -> SMatrix:
+def unipotent_gauge(a: SMatrix, x, m: int, trunc: int,
+                    upto: int | None = None) -> SMatrix:
     """``gauge_transform(a, G)`` for G = I + X·tᵐ, m ≥ 1, by recurrence.
 
     G is the constant CQ matrix X at order m, with every entry of G at
@@ -139,7 +128,9 @@ def unipotent_gauge(a: SMatrix, x, m: int, trunc: int) -> SMatrix:
     p with (Xᵖ)ᵢₖ ≠ 0, read from exact powers because their entries can
     cancel; by Cayley–Hamilton p < d suffices.  Below its truncation A′
     agrees with the exact G⁻¹·(AG − (m/q)·X·tᵐ), so the recurrence gives
-    every stored coefficient.
+    every stored coefficient.  Order n reads no input order above n, so
+    with ``upto`` the recurrence stops there: coefficients above ``upto``
+    are left out and nothing else changes.
     """
     d = len(a)
     q = a[0][0].ram
@@ -152,29 +143,24 @@ def unipotent_gauge(a: SMatrix, x, m: int, trunc: int) -> SMatrix:
     vginv = [[0 if i == k else trunc for k in range(d)] for i in range(d)]
     pw = x
     for p in range(1, min(d - 1, trunc // m) + 1):
-        for i in range(d):
-            for k in range(d):
-                if i != k and vginv[i][k] == trunc and not pw[i][k].is_zero:
-                    vginv[i][k] = p * m
+        vginv = [[p * m if w == trunc and not c.is_zero else w
+                  for w, c in zip(row, prow)] for row, prow in zip(vginv, pw)]
         pw = exactla.mat_mul(pw, x)
 
     x_rows = [[(k, c) for k, c in enumerate(row) if not c.is_zero] for row in x]
-    ag: SMatrix = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            t_ij = min(min(a[i][k].trunc + vg[k][j], trunc + a[i][k].val_or_trunc())
-                       for k in range(d))
-            terms = dict(a[i][j].terms)
-            for k in range(d):
-                c = x[k][j]
-                if c.is_zero:
-                    continue
-                for n, s in a[i][k].terms.items():
-                    if n + m <= t_ij:
-                        terms[n + m] = terms.get(n + m, CQ_ZERO) + s * c
-            row.append(PuiseuxSeries(q, terms, t_ij))
-        ag.append(row)
+    top = trunc if upto is None else min(trunc, upto)
+
+    def ag_entry(i, j):
+        t_ij = min(min(a[i][k].trunc + vg[k][j], trunc + a[i][k].val_or_trunc())
+                   for k in range(d))
+        terms = dict(a[i][j].terms)
+        for k in (k for k in range(d) if not x[k][j].is_zero):
+            for n, s in a[i][k].terms.items():
+                if n + m <= min(t_ij, top):
+                    terms[n + m] = terms.get(n + m, CQ_ZERO) + s * x[k][j]
+        return PuiseuxSeries(q, terms, t_ij)
+
+    ag = [[ag_entry(i, j) for j in range(d)] for i in range(d)]
 
     out: SMatrix = [[None] * d for _ in range(d)]
     dm = Fraction(m, q)
@@ -186,7 +172,7 @@ def unipotent_gauge(a: SMatrix, x, m: int, trunc: int) -> SMatrix:
         if any(not x[k][j].is_zero for k in range(d)):
             exps.append(m)
         col: dict[int, list[CQ]] = {}
-        for n in range(min(exps, default=0), max(tr) + 1):
+        for n in range(min(exps, default=0), min(max(tr), top) + 1):
             prev = col.get(n - m)
             b = []
             for i in range(d):
@@ -212,6 +198,9 @@ class ConnectionGerm:
     rank: int
     ram: int
     matrix: SMatrix = field(compare=False)
+    #: watermark: every truncation, and every coefficient up to this order,
+    #: is exact; those above it may be missing or wrong.  None: all exact.
+    exact: int | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_matrix(matrix: SMatrix) -> "ConnectionGerm":
@@ -292,11 +281,8 @@ class ElementaryModel:
 
     def pole_orders_z(self) -> list[Fraction]:
         """Pole order of each φ in z-units (0 for φ = 0)."""
-        out = []
-        for phi, _ in self.blocks:
-            v = phi.valuation()
-            out.append(Fraction(0) if v is None else Fraction(-v, phi.ram))
-        return out
+        return [Fraction(0) if phi.valuation() is None
+                else Fraction(-phi.valuation(), phi.ram) for phi, _ in self.blocks]
 
 
 def jordan_nilpotent(partition) -> list[list[CQ]]:

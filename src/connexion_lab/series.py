@@ -196,11 +196,10 @@ def common_ram(a: PuiseuxSeries, b: PuiseuxSeries):
 
 def ps_add(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     a, b = common_ram(a, b)
-    trunc = min(a.trunc, b.trunc)
     terms = dict(a.terms)
     for n, c in b.terms.items():
         terms[n] = terms.get(n, CQ_ZERO) + c
-    return PuiseuxSeries(a.ram, terms, trunc)
+    return PuiseuxSeries(a.ram, terms, min(a.trunc, b.trunc))
 
 
 def ps_neg(a: PuiseuxSeries) -> PuiseuxSeries:
@@ -212,8 +211,6 @@ def ps_sub(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
 
 def ps_scale(a: PuiseuxSeries, c: CQ) -> PuiseuxSeries:
-    if c.is_zero:
-        return PuiseuxSeries(a.ram, {}, a.trunc)
     return PuiseuxSeries(a.ram, {n: c * x for n, x in a.terms.items()}, a.trunc)
 
 
@@ -247,30 +244,6 @@ def ps_ramify(a: PuiseuxSeries, m: int) -> PuiseuxSeries:
     out = PuiseuxSeries(a.ram, {n * m: c for n, c in a.terms.items()},
                         a.trunc * m)
     return out.reduce_ram()
-
-
-def ps_inverse(a: PuiseuxSeries) -> PuiseuxSeries:
-    """Multiplicative inverse up to the computable truncation."""
-    if a.is_zero:
-        raise ZeroLeadingTerm("cannot invert a series with no visible leading term")
-    v, c0 = a.leading()
-    rel = a.trunc - v  # trusted relative precision
-    # a = c0 t^v (1 + u) with val(u) >= 1; invert by geometric series
-    inv_c0 = CQ_ONE / c0
-    u_terms = {n - v: inv_c0 * c for n, c in a.terms.items() if n != v}
-    u = PuiseuxSeries(a.ram, u_terms, rel)
-    acc = PuiseuxSeries(a.ram, {0: CQ_ONE}, rel)
-    pw = acc
-    k = 0
-    while not pw.is_zero and k * (u.val_or_trunc() or 1) <= rel:
-        k += 1
-        pw = ps_mul(pw, ps_neg(u))
-        if pw.is_zero:
-            break
-        acc = ps_add(acc, pw)
-    inv = ps_scale(acc, inv_c0)
-    return PuiseuxSeries(a.ram, {n - v: c for n, c in inv.terms.items()},
-                         rel - v)
 
 
 def ps_eq_to_trunc(a: PuiseuxSeries, b: PuiseuxSeries) -> bool:

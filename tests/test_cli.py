@@ -172,6 +172,26 @@ def test_split_below_truncation_0_exits_3(tmp_path, capsys, trunc):
     assert err.startswith("decomposition error: InsufficientTruncation:"), err
 
 
+def test_non_integral_irregularity_exits_3_before_the_metric(tmp_path, capsys,
+                                                             monkeypatch):
+    # φ has pole order 3/2 in z: the index refuses the model, and the
+    # metric report is never built
+    from connexion_lab import metric
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("metric report built before the index check")
+
+    monkeypatch.setattr(metric, "metric_report", refuse)
+    spec = {"form": "matrix", "rank": 1, "matrix": [[
+        {"ram": 2, "trunc": 4, "terms": [[-3, 1, 1, -1, 1]]}]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("decomposition error: NonIntegralIrregularity: "
+                   "model irregularity 3/2 not integral\n")
+
+
 @st.composite
 def matrix_specs(draw):
     d, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))

@@ -239,3 +239,26 @@ def test_nonintegral_irregularity_guard():
                                                                (1,)),)),))
     with pytest.raises(NonIntegralIrregularity):
         model_irregularity(m)
+
+
+def test_split_work_does_not_grow_with_truncation(monkeypatch):
+    # the coefficients the split's gauges compute for Airy: the orders the
+    # reduction reads, whatever the truncation (clearing every order up to
+    # the truncation makes this grow as its square)
+    from connexion_lab import formal
+
+    stored = []
+
+    def counted(*args):
+        out = gauge(*args)
+        stored.append(sum(len(s.terms) for row in out for s in row))
+        return out
+
+    gauge = formal.unipotent_gauge
+    monkeypatch.setattr(formal, "unipotent_gauge", counted)
+    work = {}
+    for trunc in (24, 192):
+        stored.clear()
+        formal_decompose(catalog.get_entry("airy").germ(trunc))
+        work[trunc] = sum(stored)
+    assert 0 < work[192] <= 3 * work[24]

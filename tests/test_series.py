@@ -10,7 +10,7 @@ import pytest
 from connexion_lab.errors import ParseError, ZeroLeadingTerm
 from connexion_lab.series import (CQ, CQ_I, CQ_ONE, PuiseuxSeries,
                                   common_ram, ps_add, ps_derive, ps_eq_to_trunc,
-                                  ps_eval, ps_from_literal, ps_inverse, ps_mul,
+                                  ps_eval, ps_from_literal, ps_mul, ps_neg,
                                   ps_ramify, ps_scale, ps_sub,
                                   ps_to_literal, quarter_root)
 
@@ -111,6 +111,31 @@ def test_ramify_derive_commutation():
         lhs = ps_derive(ps_ramify(a, m))
         rhs = ps_scale(ps_ramify(ps_derive(a), m), CQ.of(m))
         assert ps_eq_to_trunc(lhs, rhs)
+
+
+def ps_inverse(a: PuiseuxSeries) -> PuiseuxSeries:
+    """Multiplicative inverse up to the computable truncation (a test helper:
+    the package divides by no series)."""
+    if a.is_zero:
+        raise ZeroLeadingTerm("cannot invert a series with no visible leading term")
+    v, c0 = a.leading()
+    rel = a.trunc - v  # trusted relative precision
+    # a = c0 t^v (1 + u) with val(u) >= 1; invert by geometric series
+    inv_c0 = CQ_ONE / c0
+    u_terms = {n - v: inv_c0 * c for n, c in a.terms.items() if n != v}
+    u = PuiseuxSeries(a.ram, u_terms, rel)
+    acc = PuiseuxSeries(a.ram, {0: CQ_ONE}, rel)
+    pw = acc
+    k = 0
+    while not pw.is_zero and k * (u.val_or_trunc() or 1) <= rel:
+        k += 1
+        pw = ps_mul(pw, ps_neg(u))
+        if pw.is_zero:
+            break
+        acc = ps_add(acc, pw)
+    inv = ps_scale(acc, inv_c0)
+    return PuiseuxSeries(a.ram, {n - v: c for n, c in inv.terms.items()},
+                         rel - v)
 
 
 def test_inverse():

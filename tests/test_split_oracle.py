@@ -4,15 +4,18 @@
 spectrum itself and, at every order, solves one Kronecker Sylvester
 system per pair of blocks.  The split in ``formal`` takes the spectrum
 from its caller and inverts one Sylvester operator per split; its parts
-must equal the oracle's, entries, terms and truncations alike.
+must equal the oracle's, entries, terms and truncations alike.  With a
+watermark its parts must equal the oracle's up to it, every truncation
+included, and ``formal_decompose`` must give the model of a run whose
+splits are all the oracle's.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connexion_lab import exactla
-from connexion_lab.errors import InsufficientTruncation
+from connexion_lab import catalog, exactla, formal
+from connexion_lab.errors import ConnexionLabError, InsufficientTruncation
 from connexion_lab.formal import _cols, _const_gauge, split_by_spectrum
 from connexion_lab.model import (ConnectionGerm, smat_coeff, smat_min_trunc,
                                  smat_min_val, unipotent_gauge)
@@ -151,3 +154,90 @@ def test_split_matches_oracle_at_low_truncation(trunc, working):
     basis = [u for _, b, _ in exactla.spectrum(lead) for u in b]
     assert smat_min_trunc(_const_gauge(germ.matrix, _cols(basis, 3))) == working
     _check(germ)
+
+
+# -- the demand-driven split inside formal_decompose --------------------------
+
+def _outcome(germ):
+    try:
+        return repr(formal.formal_decompose(germ))
+    except ConnexionLabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_same_as_eager(germ):
+    """``formal_decompose`` equals the run with every split the eager one."""
+    got = _outcome(germ)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formal, "split_by_spectrum", lambda g, groups, top: eager_split(g))
+        try:
+            assert got == _outcome(germ)
+        except ValueError:  # the oracle's gauge refuses a truncation below 0
+            assert got.startswith("InsufficientTruncation: ")
+
+
+def _v3_germ(trunc):
+    # lead diag(1, 1, −1)·t^{−3} with a Jordan block; clearing order −2
+    # moves the diagonal blocks from order 2·(−2) + 3 = −1 on
+    one, i = CQ.of(1), CQ.of(0, 1)
+    lead = [[one, one, CQ_ZERO], [CQ_ZERO, one, CQ_ZERO],
+            [CQ_ZERO, CQ_ZERO, -one]]
+    low = [[CQ_ZERO, i, one], [one, CQ_ZERO, -one], [one, i, CQ_ZERO]]
+    mid = [[i, CQ_ZERO, CQ_ZERO], [CQ_ZERO, one, one], [-one, CQ_ZERO, one]]
+    p = [[one, one, CQ_ZERO], [CQ_ZERO, one, i], [one, CQ_ZERO, one]]
+    return _germ(1, 3, trunc, p, {-3: lead, -2: low, -1: mid, 0: low, 2: mid})
+
+
+@pytest.mark.parametrize("trunc", [12, 24, 48, 96])
+@pytest.mark.parametrize("name", list(catalog.CATALOG))
+def test_decompose_matches_eager_splits_on_catalog(name, trunc):
+    _assert_same_as_eager(catalog.CATALOG[name].germ(trunc))
+
+
+@pytest.mark.parametrize("trunc", [2, 12, 16, 24, 48])
+def test_decompose_matches_eager_splits_when_clearing_reaches_the_blocks(trunc):
+    _assert_same_as_eager(_v3_germ(trunc))
+
+
+def test_v3_clearing_reaches_the_diagonal_blocks_below_order_0():
+    germ = _v3_germ(16)
+    groups = exactla.spectrum(smat_coeff(germ.matrix, -3))
+    basis = [u for _, b, _ in groups for u in b]
+    before = _const_gauge(germ.matrix, _cols(basis, 3))
+    jordan = eager_split(germ)[0]
+    assert smat_coeff(jordan.matrix, -1) != [row[:2] for row in smat_coeff(before, -1)[:2]]
+
+
+def _check_lazy(germ, top):
+    """Parts exact up to their watermark, every truncation the eager one."""
+    v = -smat_min_val(germ.matrix)
+    groups = exactla.spectrum(smat_coeff(germ.matrix, -v))
+    try:
+        want = eager_split(germ)
+    except ValueError:
+        with pytest.raises(InsufficientTruncation):
+            split_by_spectrum(germ, groups, top)
+        return
+    try:
+        got = split_by_spectrum(germ, groups, top)
+    except formal.NeedOrder:
+        return
+    for g, w in zip(got, want, strict=True):
+        assert g.exact is None or g.exact >= min(top, max(
+            s.trunc for row in w.matrix for s in row))
+        for gs, ws in zip(sum(g.matrix, []), sum(w.matrix, [])):
+            cut = gs.trunc if g.exact is None else g.exact
+            assert gs.trunc == ws.trunc
+            assert ({n: c for n, c in gs.terms.items() if n <= cut}
+                    == {n: c for n, c in ws.terms.items() if n <= cut})
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_germs(), st.integers(-1, 6))
+def test_lazy_split_matches_oracle_to_its_watermark(germ, top):
+    _check_lazy(germ, top)
+
+
+@pytest.mark.parametrize("top", [-1, 0, 1, 3])
+def test_lazy_split_v3_matches_oracle_to_its_watermark(top):
+    _check_lazy(_v3_germ(16), top)
