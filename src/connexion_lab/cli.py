@@ -49,9 +49,8 @@ def write_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _config_echo(args) -> dict:
-    return {"trunc": args.trunc, "grid": args.grid, "seed": args.seed,
-            "version": __version__}
+def _config_echo(args, **flags) -> dict:
+    return {**flags, "seed": args.seed, "version": __version__}
 
 
 def _read_target(target: str):
@@ -131,7 +130,7 @@ def cmd_analyze(args) -> int:
 
     doc = {
         "input": {"target": args.target, "digest": _digest(args.target)},
-        "config": _config_echo(args),
+        "config": _config_echo(args, trunc=args.trunc),
         "polygon": {"slopes": report["slopes"],
                     "irregularity": report["irregularity"]},
         "ramification": report["ram_out"],
@@ -201,7 +200,7 @@ def cmd_l2verify(args) -> int:
 
     doc = {
         "input": {"target": args.target, "digest": _digest(args.target)},
-        "config": _config_echo(args),
+        "config": _config_echo(args, grid=args.grid),
         "excluded_case": d.excluded,
         "phase": {"r_phi": phase_r, "tau": d.tau, "ell": d.ell},
         "psi": {"cos_sign": psi["cos_sign"],
@@ -248,16 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--trunc", type=_at_least(0), default=24,
-                        help="series truncation budget")
-        sp.add_argument("--grid", choices=("coarse", "default", "fine"),
-                        default="default", help="quadrature preset")
         sp.add_argument("--seed", type=int, default=0,
                         help="Monte Carlo seed")
         sp.add_argument("--out", default=None, help="report output path")
 
     a = sub.add_parser("analyze", help="full pipeline on a spec or name")
     a.add_argument("target")
+    a.add_argument("--trunc", type=_at_least(0), default=24,
+                   help="series truncation budget")
     common(a)
     a.set_defaults(func=cmd_analyze)
 
@@ -265,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("target")
     l.add_argument("--trials", type=_at_least(1), default=5,
                    help="Monte Carlo trials for the vanishing report")
+    l.add_argument("--grid", choices=("coarse", "default", "fine"),
+                   default="default", help="quadrature preset")
     common(l)
     l.set_defaults(func=cmd_l2verify)
 

@@ -117,20 +117,6 @@ def kernel(m: Matrix) -> list[list[CQ]]:
     return basis
 
 
-def solve(m: Matrix, rhs: list[CQ]) -> list[CQ] | None:
-    """One solution of m·x = rhs, or None if inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [m[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [CQ_ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
-
-
 def inverse(m: Matrix) -> Matrix:
     d = len(m)
     aug = [m[i][:] + eye(d)[i] for i in range(d)]
@@ -183,63 +169,36 @@ def _trim(p: list[CQ]) -> list[CQ]:
     return p
 
 
-def _poly_divmod(num: list[CQ], den: list[CQ]) -> tuple[list[CQ], list[CQ]]:
-    """Quotient and remainder of num by den (leading coefficient nonzero)."""
-    rem = list(num)
-    quot = [CQ_ZERO] * max(len(num) - len(den) + 1, 0)
-    inv = CQ_ONE / den[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(den) - 1] * inv
-        quot[k] = c
-        for j, x in enumerate(den):
-            rem[k + j] = rem[k + j] - c * x
-    return quot, _trim(rem[:len(den) - 1])
-
-
-def _square_free(p: list[CQ]) -> list[CQ]:
-    """p / gcd(p, p′) over Q(i): the roots of p, each of them simple."""
-    a, b = p, _trim([c.scale(Fraction(n)) for n, c in enumerate(p)][1:])
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return p if len(a) == 1 else _poly_divmod(p, a)[0]
-
-
 def gaussian_roots(coeffs: list[CQ]) -> list[tuple[CQ, int]]:
     """All roots in Q(i) with multiplicities; raises if any root is outside.
 
-    Candidates come from a numeric solve of the square-free part, whose
-    roots are all simple: a root of multiplicity m of the full polynomial
-    would scatter by about eps^(1/m) and defeat the rationalization.
-    Acceptance and multiplicity are exact (substitution into the full
-    polynomial plus exact deflation).
+    A root of multiplicity m of p would scatter numerically by about
+    eps^(1/m) and defeat the rationalization, but it is a simple root of
+    p^(m−1).  So the numeric candidates come from p first, then from p′,
+    p″, … while some root is still unfound.  Acceptance and multiplicity
+    are exact (substitution into the full polynomial plus exact deflation).
     """
     work = _trim(coeffs)
-    if len(work) <= 1:
-        return []
-    candidates = [CQ(Fraction(z.real).limit_denominator(10 ** 6),
-                     Fraction(z.imag).limit_denominator(10 ** 6))
-                  for z in np.roots([c.to_complex()
-                                     for c in reversed(_square_free(work))])]
     found: list[tuple[CQ, int]] = []
-    for cand in candidates:
-        if any(cand == r for r, _ in found):
-            continue
-        mult = 0
-        while len(work) > 1 and poly_eval(work, cand).is_zero:
-            work = poly_deflate(work, cand)
-            mult += 1
-        if mult:
-            found.append((cand, mult))
+    deriv = np.array([c.to_complex() for c in reversed(work)])
+    while len(work) > 1 and len(deriv) > 1:
+        for z in np.roots(deriv):
+            cand = CQ(Fraction(z.real).limit_denominator(10 ** 6),
+                      Fraction(z.imag).limit_denominator(10 ** 6))
+            if any(cand == r for r, _ in found):
+                continue
+            mult = 0
+            while len(work) > 1 and poly_eval(work, cand).is_zero:
+                work = poly_deflate(work, cand)
+                mult += 1
+            if mult:
+                found.append((cand, mult))
+        deriv = np.polyder(deriv)
     if len(work) > 1:
         raise IrrationalSpectrum(
             "spectrum leaves the Gaussian rationals "
             f"(residual factor of degree {len(work) - 1})")
     return found
-
-
-def eigen_data(m: Matrix) -> list[tuple[CQ, int]]:
-    """Exact eigenvalues with algebraic multiplicities."""
-    return gaussian_roots(charpoly(m))
 
 
 def spectrum(m: Matrix) -> list[tuple[CQ, list[list[CQ]], list[int]]]:
@@ -251,7 +210,7 @@ def spectrum(m: Matrix) -> list[tuple[CQ, list[list[CQ]], list[int]]]:
     """
     d = len(m)
     out = []
-    for lam, mult in eigen_data(m):
+    for lam, mult in gaussian_roots(charpoly(m)):
         shifted = [[m[i][j] - (lam if i == j else CQ_ZERO) for j in range(d)]
                    for i in range(d)]
         power, ranks = eye(d), [d]

@@ -233,13 +233,8 @@ class RegularBlockData:
         """T = e^{−2πiα}·T_u with T_u unipotent from the partition."""
         from .sl2 import _nilpotent_exp
 
-        d = self.rank
-        n = np.zeros((d, d))
-        pos = 0
-        for p in self.partition:
-            for j in range(p - 1):
-                n[pos + j + 1, pos + j] = 1.0
-            pos += p
+        n = np.array([[float(x.re) for x in row]
+                      for row in jordan_nilpotent(self.partition)])
         lam = cmath.exp(-2j * cmath.pi * self.alpha.to_complex())
         return lam * _nilpotent_exp(n, 2j * np.pi)
 

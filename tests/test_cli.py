@@ -157,6 +157,26 @@ def test_decomposition_error_exits_3(tmp_path, capsys):
     assert "IrrationalSpectrum" in err
 
 
+@pytest.mark.parametrize("denominator", [
+    999983,
+    pytest.param(1000003, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="gaussian_roots rationalizes its numeric candidates with "
+               "denominators up to 10**6: IrrationalSpectrum, exit 3")),
+])
+def test_residue_exponent_with_a_large_denominator(tmp_path, capsys,
+                                                   denominator):
+    alpha = [[1, denominator], [0, 1]]
+    spec = {"form": "elementary", "blocks": [
+        {"phi": {"ram": 1, "trunc": 8, "terms": []},
+         "regs": [{"alpha": alpha, "partition": [2]}]}]}
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["model"]["blocks"][0]["regs"][0]["alpha"] == alpha
+
+
 @pytest.mark.parametrize("trunc", ["0", "24"])
 def test_split_below_truncation_0_exits_3(tmp_path, capsys, trunc):
     # the change to the eigenbasis leaves working truncation -1 while
@@ -321,7 +341,6 @@ def test_l2verify_integral_floats_run_as_integers(tmp_path, capsys):
     ("l2verify", "e-inverse-z", "--trials", "0"),
     ("l2verify", "e-inverse-z", "--trials", "-1"),
     ("analyze", "airy", "--trunc", "-3"),
-    ("l2verify", "e-inverse-z", "--trunc", "-1"),
 ])
 def test_meaningless_counts_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -329,6 +348,19 @@ def test_meaningless_counts_exit_2(capsys, argv):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "must be at least" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "airy", "--grid", "coarse"),
+    ("l2verify", "e-inverse-z", "--trunc", "24"),
+])
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    # analyze runs no quadrature and l2verify expands no series
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments" in out.err
 
 
 def test_l2verify_entry_without_data_exits_2(capsys):

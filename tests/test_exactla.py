@@ -127,7 +127,7 @@ def to_sympy_cq(x):
 @given(root_multisets(), nonzero)
 def test_gaussian_roots_of_products(multiset, lead):
     # a root of multiplicity m scatters numerically by about eps^(1/m), so
-    # the numeric candidates must come from the square-free part
+    # its numeric candidate must come from p^(m−1), where it is simple
     coeffs = expand(lead, multiset)
     found = exactla.gaussian_roots(coeffs)
     assert dict(found) == multiset and len(found) == len(multiset)
@@ -186,7 +186,8 @@ def test_spectrum_reads_back_jordan_form(case):
     m, expected = case
     d = len(m)
     spec = exactla.spectrum(m)
-    assert [lam for lam, _, _ in spec] == [lam for lam, _ in exactla.eigen_data(m)]
+    roots = exactla.gaussian_roots(exactla.charpoly(m))
+    assert [lam for lam, _, _ in spec] == [lam for lam, _ in roots]
     assert {lam: part for lam, _, part in spec} == expected
     for lam, basis, part in spec:
         assert len(basis) == sum(part) == exactla.rank(basis)

@@ -22,6 +22,20 @@ from connexion_lab.model import (ConnectionGerm, smat_coeff, smat_min_trunc,
 from connexion_lab.series import CQ, CQ_ZERO, PuiseuxSeries
 
 
+def solve(m, rhs):
+    """One solution of m·x = rhs, or None if inconsistent."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    aug = [m[i][:] + [rhs[i]] for i in range(rows)]
+    red, pivots = exactla.rref(aug)
+    if cols in pivots:
+        return None
+    x = [CQ_ZERO] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
 def _sylvester_solve(left, right, rhs):
     """Solve left·X − X·right = rhs for X (exact, vectorized)."""
     p, n = len(left), len(right)
@@ -35,7 +49,7 @@ def _sylvester_solve(left, right, rhs):
                 big[r][k * n + j] = big[r][k * n + j] + left[i][k]
             for k in range(n):
                 big[r][i * n + k] = big[r][i * n + k] - right[k][j]
-    x = exactla.solve(big, vec_rhs)
+    x = solve(big, vec_rhs)
     assert x is not None, "leading Sylvester block is singular"
     return [[x[i * n + j] for j in range(n)] for i in range(p)]
 
