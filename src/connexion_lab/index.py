@@ -15,7 +15,7 @@ import numpy as np
 from . import exactla
 from .errors import (DomainError, InconsistentResidues, NonIntegralIrregularity,
                      UnstableDimensions)
-from .model import ConnectionGerm, ElementaryModel
+from .model import ConnectionGerm, ElementaryModel, smat_min_val
 from .series import CQ
 
 
@@ -131,8 +131,7 @@ def _window_dims(germ: ConnectionGerm, b: int) -> tuple[int, int]:
 
 
 def _default_budget(germ: ConnectionGerm) -> int:
-    mv = min((s.valuation() for row in germ.matrix for s in row
-              if s.valuation() is not None), default=0)
+    mv = smat_min_val(germ.matrix) or 0
     return 2 * max(0, -mv) * germ.rank + 10
 
 

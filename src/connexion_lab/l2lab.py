@@ -275,10 +275,8 @@ def _tail_weight_integral(d: WeightedLineData, m: int, u0: float) -> float:
         span = max(50.0 / (2.0 * d.beta), 10.0)
         uu = np.linspace(u0, u0 + span, 4000)
         return float(_np_trapz(np.exp(-2.0 * d.beta * uu) * uu ** m, uu))
-    if d.beta == 0:
-        if m <= -2:
-            return u0 ** (m + 1) / (-m - 1)
-        return math.inf
+    if d.beta == 0 and m <= -2:
+        return u0 ** (m + 1) / (-m - 1)
     return math.inf
 
 

@@ -190,36 +190,23 @@ def horizontal_norm_check(mm: ModelMetric, j: int, sector, grid=(40, 40)):
     """
     theta0, theta1 = sector
     nr, nth = grid
-    block = None
-    for b in mm.blocks:
-        if b.offset <= j < b.offset + b.size:
-            block = b
-            break
+    block = next((b for b in mm.blocks if b.offset <= j < b.offset + b.size), None)
     if block is None:
         raise DomainError(f"basis index {j} out of range")
     jj = j - block.offset
-    radii = np.geomspace(1e-3, 0.3, nr)
-    thetas = np.linspace(theta0, theta1, nth)
-    al = block.alpha.to_complex()
-    y = block.triple.y
-    w = block.weights
-    lo = hi = None
-    for r in radii:
-        for th in thetas:
-            z = r * cmath.exp(1j * th)
-            logz = math.log(r) + 1j * th
-            vec = _nilpotent_exp(-logz * y, 1.0)[:, jj].astype(complex)
-            vec = vec * cmath.exp(al * logz)
-            # the e^{−φ} factor of ẽ_j cancels against the e^{−2Re φ} of
-            # the reference norm exactly, so it is dropped on both sides
-            a = -2.0 * math.log(r)
-            k1_diag = (r ** (-2 * al.real)) * a ** w
-            val = float(np.sum(k1_diag * np.abs(vec) ** 2))
-            norm = a ** w[jj]
-            ratio = val / norm
-            lo = ratio if lo is None else min(lo, ratio)
-            hi = ratio if hi is None else max(hi, ratio)
-    return lo, hi
+    logz = (np.log(np.geomspace(1e-3, 0.3, nr))[:, None]
+            + 1j * np.linspace(theta0, theta1, nth)[None, :]).ravel()
+    zs = np.exp(logz)
+    # column jj of exp(−log z·Y) per point; a size-1 block gives one
+    # unstacked (1, 1) identity, which broadcasts
+    vec = (_nilpotent_exp(block.triple.y, -logz[:, None, None])[..., jj]
+           * np.exp(block.alpha.to_complex() * logz)[:, None])
+    # the e^{−φ} factor of ẽ_j cancels against the e^{−2Re φ} of the
+    # reference norm exactly, so it is dropped on both sides
+    sl = slice(block.offset, block.offset + block.size)
+    k1_diag = np.diagonal(eval_metric(mm, zs)[1], axis1=1, axis2=2)[:, sl].real
+    ratio = np.sum(k1_diag * np.abs(vec) ** 2, axis=1) / poincare_a(zs) ** block.weights[jj]
+    return ratio.min(), ratio.max()
 
 
 # -- Stokes gluing ------------------------------------------------------------
@@ -266,10 +253,7 @@ class StokesGluingData:
 
     def overlap(self, ell: int) -> tuple[float, float]:
         """The arc I_ℓ ∩ I_{ℓ+1} as (lo, hi)."""
-        n = len(self.intervals)
-        lo1, hi1 = self.intervals[ell]
-        lo2, hi2 = self.intervals[(ell + 1) % n]
-        return lo2, hi1
+        return self.intervals[(ell + 1) % len(self.intervals)][0], self.intervals[ell][1]
 
     def locate(self, theta: float) -> int | None:
         """Index of the overlap containing the angle, or None."""
@@ -280,60 +264,47 @@ class StokesGluingData:
         return None
 
 
-def _mu_matrix(mm: ModelMetric, consts: dict, z: complex, theta: float) -> np.ndarray:
-    phis = mm.vector_phis()
-    d = mm.rank
-    mu = np.zeros((d, d), dtype=complex)
-    lz = math.log(abs(z)) + 1j * theta  # the branch of log z pinned to θ
-    for (i, j), c in consts.items():
-        diff = ps_eval(phis[i], lz) - ps_eval(phis[j], lz)
-        if diff.real >= 0.0:
-            raise BadDominanceOrder(
-                f"Re(φ_{i} − φ_{j}) = {diff.real:.3g} ≥ 0 at arg z = {theta:.3f}")
-        mu[i, j] = c * cmath.exp(diff)
-    return mu
-
-
 def glued_transition(mm: ModelMetric, gd: StokesGluingData, z) -> np.ndarray:
-    """Id + χ(θ)·μ(z) on the overlap containing arg z, else Id."""
-    zc = complex(z)
-    theta = _norm_angle(cmath.phase(zc))
-    ell = gd.locate(theta)
+    """Id + χ(θ)·μ(z) on the overlap containing arg z, else Id, at each z.
+
+    μ_ij = c_ij·e^{φ_i − φ_j}; BadDominanceOrder where Re(φ_i − φ_j) ≥ 0.
+    """
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
     d = mm.rank
-    if ell is None:
-        return np.eye(d, dtype=complex)
-    lo, hi = gd.overlap(ell)
-    span = _norm_angle(hi - lo)
-    chi = smoothstep(_norm_angle(theta - lo) / span)
-    mu = _mu_matrix(mm, gd.constants[ell], zc, theta)
-    return np.eye(d, dtype=complex) + chi * mu
-
-
-def glued_transition_det(mm: ModelMetric, gd: StokesGluingData, z) -> float:
-    """Certify det = 1: μ is strictly triangular in the dominance order."""
-    zc = complex(z)
-    theta = _norm_angle(cmath.phase(zc))
-    ell = gd.locate(theta)
-    if ell is None:
-        return 1.0
-    mu = _mu_matrix(mm, gd.constants[ell], zc, theta)
     phis = mm.vector_phis()
-    lz = math.log(abs(zc)) + 1j * theta
-    re = [ps_eval(p, lz).real for p in phis]
-    order = sorted(range(len(re)), key=lambda i: re[i])
-    perm = mu[np.ix_(order, order)]
-    # nonzero entries need Re φ_row < Re φ_col: strictly upper triangular
-    if np.any(np.abs(np.tril(perm)) > 0):
-        raise BadDominanceOrder("gluing constants are not strictly dominant")
-    return 1.0
+    out = np.tile(np.eye(d, dtype=complex), (len(zs), 1, 1))
+    for n, zc in enumerate(zs):
+        theta = _norm_angle(cmath.phase(zc))
+        ell = gd.locate(theta)
+        if ell is None:
+            continue
+        lo, hi = gd.overlap(ell)
+        chi = smoothstep(_norm_angle(theta - lo) / _norm_angle(hi - lo))
+        lz = math.log(abs(zc)) + 1j * theta  # the branch of log z pinned to θ
+        for (i, j), c in gd.constants[ell].items():
+            diff = ps_eval(phis[i], lz) - ps_eval(phis[j], lz)
+            if diff.real >= 0.0:
+                raise BadDominanceOrder(
+                    f"Re(φ_{i} − φ_{j}) = {diff.real:.3g} ≥ 0 at arg z = {theta:.3f}")
+            out[n, i, j] += chi * (c * cmath.exp(diff))
+    return _shaped(z, out)
+
+
+def glued_transition_det(mm: ModelMetric, gd: StokesGluingData, z):
+    """Certify det = 1 at each z: 1.0 for one point, ones for an array.
+
+    glued_transition raises unless Re φ_i < Re φ_j for every c_ij, so μ is
+    strictly upper triangular in the Re φ order and det(Id + χμ) = 1.
+    """
+    glued_transition(mm, gd, z)
+    return _shaped(z, np.ones(np.size(z)))
 
 
 def glued_metric(mm: ModelMetric, gd: StokesGluingData, z) -> np.ndarray:
-    """K pushed through the sectorial frame change (Id + χμ)."""
-    k, _ = eval_metric(mm, complex(z))
-    g = glued_transition(mm, gd, complex(z))
-    g_inv = np.linalg.inv(g)
-    return g_inv.conj().T @ k @ g_inv
+    """K pushed through the sectorial frame change (Id + χμ), at each z."""
+    k, _ = eval_metric(mm, z)
+    g_inv = np.linalg.inv(glued_transition(mm, gd, z))
+    return g_inv.conj().swapaxes(-1, -2) @ k @ g_inv
 
 
 def metric_report(mm: ModelMetric, zs, gd: StokesGluingData | None = None):
@@ -343,10 +314,8 @@ def metric_report(mm: ModelMetric, zs, gd: StokesGluingData | None = None):
     det_k = np.linalg.det(k).real
     ratio = connection_and_curvature(mm, zs)[3]
     pseudo = np.linalg.norm(pseudo_curvature(mm, zs), 2, axis=(1, 2))
-    if gd is not None:
-        delta = [np.linalg.norm(glued_metric(mm, gd, z) - kz, 2) for z, kz in zip(zs, k)]
-    else:
-        delta = np.zeros(len(zs))
+    delta = (np.linalg.norm(glued_metric(mm, gd, zs) - k, 2, axis=(1, 2))
+             if gd is not None else np.zeros(len(zs)))
     return [{"z_re": float(z.real), "z_im": float(z.imag), "a": float(a[i]),
              "det_K": float(det_k[i]), "ratio": float(ratio[i]),
              "pseudo_norm": float(pseudo[i]), "glued_delta": float(delta[i])}

@@ -1,5 +1,5 @@
 """Exact linear algebra: the sparse `rank` against sympy and against `rref`,
-and `gaussian_roots` and `spectrum` against sympy.
+and `charpoly`, `gaussian_roots` and `spectrum` against sympy.
 
 `rank` eliminates over sparse rows on its own, apart from `rref`, so
 both must agree with an independent exact rank on every shape the package
@@ -68,6 +68,25 @@ def test_rank_matches_sympy_and_rref(m):
     # numbers unexpanded, and a zero it cannot see would raise the rank
     assert r == to_sympy(m).rank(iszerofunc=lambda x: sympy.expand(x) == 0)
     assert r == len(exactla.rref(m)[1])
+
+
+@st.composite
+def square_matrices(draw):
+    """1 × 1 to 4 × 4 over Q(i), about half the entries zero."""
+    d = draw(st.integers(1, 4))
+    return [[draw(st.one_of(st.just(CQ_ZERO), nonzero)) for _ in range(d)]
+            for _ in range(d)]
+
+
+@SETTINGS
+@given(square_matrices())
+def test_charpoly_matches_sympy(m):
+    expected = to_sympy(m).charpoly(sympy.Symbol("t")).all_coeffs()
+    coeffs = exactla.charpoly(m)
+    assert len(coeffs) == len(expected) == len(m) + 1
+    # sympy lists the leading coefficient first, charpoly the constant
+    assert all(sympy.expand(to_sympy([[x]])[0, 0] - e) == 0
+               for x, e in zip(reversed(coeffs), expected))
 
 
 def c(re, im=0):

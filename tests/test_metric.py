@@ -11,7 +11,9 @@ from connexion_lab import catalog
 from connexion_lab.cli import write_csv
 from connexion_lab.errors import BadDominanceOrder, DomainError
 from connexion_lab.formal import formal_decompose
-from connexion_lab.metric import (StokesGluingData, connection_and_curvature,
+from connexion_lab.l2lab import smoothstep
+from connexion_lab.metric import (StokesGluingData, _norm_angle,
+                                  connection_and_curvature,
                                   curvature_knorm_ratio, eval_metric,
                                   fd_curvature_check, glued_metric,
                                   glued_transition, glued_transition_det,
@@ -185,8 +187,16 @@ def test_bad_dominance_raises():
     # constants on the wrong side of the Stokes line
     bad = StokesGluingData(((-0.6, 3.7), (2.9, 5.9)),
                            ({(0, 1): 1.0}, {(1, 0): 1.0}))
-    with pytest.raises(BadDominanceOrder):
-        glued_transition(mm, bad, 0.05 * np.exp(1j * 3.3))
+    z_bad = 0.05 * np.exp(1j * 3.3)
+    for fn in (glued_transition, glued_transition_det, old_glued_transition_det):
+        with pytest.raises(BadDominanceOrder):
+            fn(mm, bad, z_bad)
+    # one bad point in an array fails the whole array
+    off = 0.05 * np.exp(1j * np.array([1.0, 2.0, 3.3, 4.5]))
+    assert glued_transition_det(mm, bad, off[0]) == 1.0
+    for fn in (glued_transition, glued_transition_det):
+        with pytest.raises(BadDominanceOrder):
+            fn(mm, bad, off)
 
 
 def test_glued_metric_decay_exponent():
@@ -221,9 +231,11 @@ def test_metric_report_csv(tmp_path):
 # eval_metric with _block_K, curvature_knorm_ratio, pseudo_curvature with
 # _theta_block, and the gluing's _phi_at, as they were before the frame
 # constants were cached per block, ps_eval became the one series evaluator
-# and the metric layer was batched.  The pseudo-curvature oracle leaves zφ′
+# and the metric layer was batched; the per-point gluing with _mu_matrix and
+# the triangularity test of the determinant certificate; and the per-point
+# loop of horizontal_norm_check.  The pseudo-curvature oracle leaves zφ′
 # out of Θ and does not strip the traces, as the batched code does.  The
-# merged code must give the same bits.
+# merged code must give the same bits, apart from horizontal_norm_check.
 
 
 def _block_diag(mats, d):
@@ -414,3 +426,111 @@ def test_ps_eval_matches_phi_at_on_any_branch():
                 value = ps_eval(phi, complex(lz))
                 assert isinstance(value, complex)
                 assert_same_bits(value, o)
+
+
+def old_mu_matrix(mm, consts, z, theta):
+    phis = mm.vector_phis()
+    d = mm.rank
+    mu = np.zeros((d, d), dtype=complex)
+    lz = math.log(abs(z)) + 1j * theta
+    for (i, j), c in consts.items():
+        diff = ps_eval(phis[i], lz) - ps_eval(phis[j], lz)
+        if diff.real >= 0.0:
+            raise BadDominanceOrder(
+                f"Re(φ_{i} − φ_{j}) = {diff.real:.3g} ≥ 0 at arg z = {theta:.3f}")
+        mu[i, j] = c * cmath.exp(diff)
+    return mu
+
+
+def old_glued_transition(mm, gd, z):
+    zc = complex(z)
+    theta = _norm_angle(cmath.phase(zc))
+    ell = gd.locate(theta)
+    d = mm.rank
+    if ell is None:
+        return np.eye(d, dtype=complex)
+    lo, hi = gd.overlap(ell)
+    span = _norm_angle(hi - lo)
+    chi = smoothstep(_norm_angle(theta - lo) / span)
+    mu = old_mu_matrix(mm, gd.constants[ell], zc, theta)
+    return np.eye(d, dtype=complex) + chi * mu
+
+
+def old_glued_transition_det(mm, gd, z):
+    zc = complex(z)
+    theta = _norm_angle(cmath.phase(zc))
+    ell = gd.locate(theta)
+    if ell is None:
+        return 1.0
+    mu = old_mu_matrix(mm, gd.constants[ell], zc, theta)
+    phis = mm.vector_phis()
+    lz = math.log(abs(zc)) + 1j * theta
+    re = [ps_eval(p, lz).real for p in phis]
+    order = sorted(range(len(re)), key=lambda i: re[i])
+    perm = mu[np.ix_(order, order)]
+    if np.any(np.abs(np.tril(perm)) > 0):
+        raise BadDominanceOrder("gluing constants are not strictly dominant")
+    return 1.0
+
+
+def old_glued_metric(mm, gd, z):
+    k, _ = eval_metric(mm, complex(z))
+    g = old_glued_transition(mm, gd, complex(z))
+    g_inv = np.linalg.inv(g)
+    return g_inv.conj().T @ k @ g_inv
+
+
+def old_horizontal_norm_check(mm, j, sector, grid=(40, 40)):
+    theta0, theta1 = sector
+    nr, nth = grid
+    block = next(b for b in mm.blocks if b.offset <= j < b.offset + b.size)
+    jj = j - block.offset
+    al = block.alpha.to_complex()
+    y = block.triple.y
+    w = block.weights
+    lo = hi = None
+    for r in np.geomspace(1e-3, 0.3, nr):
+        for th in np.linspace(theta0, theta1, nth):
+            logz = math.log(r) + 1j * th
+            vec = _nilpotent_exp(-logz * y, 1.0)[:, jj].astype(complex)
+            vec = vec * cmath.exp(al * logz)
+            a = -2.0 * math.log(r)
+            k1_diag = (r ** (-2 * al.real)) * a ** w
+            ratio = float(np.sum(k1_diag * np.abs(vec) ** 2)) / a ** w[jj]
+            lo = ratio if lo is None else min(lo, ratio)
+            hi = ratio if hi is None else max(hi, ratio)
+    return lo, hi
+
+
+def gluing_points():
+    """Points in both overlaps of rank2-stokes, off them, and ORACLE_POINTS."""
+    rs = np.array([0.3, 0.05, 0.01, 1e-3])
+    on = [r * np.exp(1j * t) for t in (3.0, 3.3, 3.65, 5.75) for r in rs]
+    off = [r * np.exp(1j * t) for t in (0.0, 1.0, 2.0, 4.7) for r in rs]
+    return np.concatenate([on, off, ORACLE_POINTS])
+
+
+def test_glued_transition_matches_per_point_mu_matrix():
+    mm, gd = stokes_frame()
+    zs = gluing_points()
+    old_g = np.array([old_glued_transition(mm, gd, z) for z in zs])
+    old_k = np.array([old_glued_metric(mm, gd, z) for z in zs])
+    assert not np.array_equal(old_g, np.broadcast_to(np.eye(2), old_g.shape))
+    assert_same_bits(glued_transition(mm, gd, zs), old_g)
+    assert_same_bits(glued_metric(mm, gd, zs), old_k)
+    assert_same_bits(glued_transition_det(mm, gd, zs), np.ones(len(zs)))
+    for z, g, k in zip(zs, old_g, old_k):
+        assert_same_bits(glued_transition(mm, gd, z), g)
+        assert_same_bits(glued_metric(mm, gd, z), k)
+        assert glued_transition_det(mm, gd, z) == old_glued_transition_det(mm, gd, z) == 1.0
+
+
+def test_horizontal_norm_check_matches_per_point_loop():
+    # the batched exponentials round differently from the per-point ones by
+    # an ulp, so the extrema agree to rounding, not bit for bit
+    for mm in oracle_frames():
+        for j in range(mm.rank):
+            for sector in ((0.3, 1.2), (-2.5, 2.0)):
+                new = horizontal_norm_check(mm, j, sector, grid=(20, 20))
+                old = old_horizontal_norm_check(mm, j, sector, grid=(20, 20))
+                assert np.allclose(new, old, rtol=1e-14, atol=0), (j, sector)
