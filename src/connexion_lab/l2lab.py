@@ -161,14 +161,11 @@ class SectorGrid:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def make(cls, sector=(0.0, 2.0 * math.pi), r1=0.5, preset="default",
-             r_min=R_MIN, shape=None) -> "SectorGrid":
-        if shape is None:
-            shape = PRESETS[preset]
-        nr, nth = shape
-        radii = np.geomspace(r_min, r1, nr)
-        thetas = np.linspace(sector[0], sector[1], nth)
-        return cls(radii, thetas)
+    def make(cls, sector=(0.0, 2.0 * math.pi), r1=0.5,
+             preset="default") -> "SectorGrid":
+        nr, nth = PRESETS[preset]
+        return cls(np.geomspace(R_MIN, r1, nr),
+                   np.linspace(sector[0], sector[1], nth))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -194,45 +191,42 @@ _GL_WEIGHTS = np.array([0.2369268850561891, 0.4786286704993665,
                         0.2369268850561891])
 
 
+def _on_grid(func, radii, thetas):
+    """func(radii[:, None], thetas[None, :]) as a read-only (R, T) view.
+
+    func must broadcast; np.ones_like(r), say, is spread over the grid.
+    """
+    vals = np.asarray(func(radii[:, None], thetas[None, :]), dtype=float)
+    return np.broadcast_to(vals, (len(radii), len(thetas)))
+
+
 def _cumgauss_theta(func, radii, thetas, reverse=False):
     """Cumulative ∫ func(r, t) dt over θ nodes, 5-point Gauss per interval.
 
     Essentially exact for smooth integrands, unlike the trapezoid rule.
-    func must act elementwise: it is called once per Gauss node, on
-    (radii × intervals) arrays, and the interval integrals are summed
-    along θ, from the last node when reverse is set.
+    func is called through _on_grid once per Gauss node; its ufuncs see
+    contiguous 1-D rows, so the bits are those of contiguous (radii ×
+    intervals) copies, as tests/test_l2lab.py checks.  The interval
+    integrals are summed along θ, from the last node when reverse is set.
     """
     th = np.asarray(thetas, dtype=float)
     order = th if not reverse else th[::-1]
     a, b = order[:-1], order[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    shape = (len(radii), len(a))
-    rr = np.broadcast_to(np.asarray(radii, dtype=float)[:, None], shape).copy()
-    seg = np.zeros(shape)
+    seg = np.zeros((len(radii), len(a)))
     for node, wt in zip(_GL_NODES, _GL_WEIGHTS):
-        # contiguous copies: numpy may round a transcendental ufunc
-        # differently on a broadcast (strided) input than on a row
-        tt = np.broadcast_to(mid + half * node, shape).copy()
-        seg = seg + wt * np.asarray(func(rr, tt))
-    res = np.concatenate([np.zeros((shape[0], 1)),
+        seg = seg + wt * _on_grid(func, radii, mid + half * node)
+    res = np.concatenate([np.zeros((len(radii), 1)),
                           np.cumsum(half * seg, axis=1)], axis=1)
     if reverse:
         res = res[:, ::-1]
     return res
 
 
-def _cumtrapz(vals, x, axis=0, reverse=False):
-    vals = np.moveaxis(np.asarray(vals, dtype=float), axis, 0)
-    x = np.asarray(x, dtype=float)
-    if reverse:
-        vals = vals[::-1]
-        x = x[::-1]
-    dx = np.diff(x)
-    inc = 0.5 * (vals[1:] + vals[:-1]) * dx.reshape((-1,) + (1,) * (vals.ndim - 1))
-    out = np.concatenate([np.zeros((1,) + vals.shape[1:]), np.cumsum(inc, axis=0)])
-    if reverse:
-        out = out[::-1]
-    return np.moveaxis(out, 0, axis)
+def _cumtrapz(vals, x):
+    """Cumulative trapezoid ∫_{x[0]} vals dx of 1-D float arrays."""
+    inc = 0.5 * (vals[1:] + vals[:-1]) * np.diff(x)
+    return np.concatenate([np.zeros(1), np.cumsum(inc)])
 
 
 def _log_cumtrapz(logf, x, reverse=False):
@@ -261,8 +255,7 @@ def _log_cumtrapz(logf, x, reverse=False):
 
 def _eval_samples(samples, g: SectorGrid):
     if callable(samples):
-        rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
-        return np.asarray(samples(rr, tt), dtype=float)
+        return _on_grid(samples, g.radii, g.thetas)
     arr = np.asarray(samples, dtype=float)
     if arr.shape != (len(g.radii), len(g.thetas)):
         raise DomainError(f"sample array shape {arr.shape} does not match grid")
@@ -289,10 +282,9 @@ def _grid_weight(d: WeightedLineData, g: SectorGrid, m: int):
     """
     key = (d, m)
     if key not in g._weights:
-        rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
         with np.errstate(over="ignore"):
             logw = ((-2.0 * d.beta * g.u + m * np.log(g.u))[:, None]
-                    + 2.0 * d.neg_re_phi(rr, tt))
+                    + 2.0 * _on_grid(d.neg_re_phi, g.radii, g.thetas))
             w = np.exp(logw)
         with np.errstate(invalid="ignore", over="ignore"):
             phase_edge = np.exp(2.0 * d.neg_re_phi(g.radii[0], g.thetas))
@@ -329,6 +321,7 @@ def weighted_norm(p: int, samples, d: WeightedLineData, g: SectorGrid,
                   check: bool = True) -> float:
     """Squared norm ∫|·|² r^{2β}|log r|^{κ+2(p−1)} e^{−2Re φ} dθ dr/r.
 
+    Callable samples are evaluated as in _on_grid, so they must broadcast.
     The weight is computed once per (data, log power) and kept on the grid
     for the grid's lifetime, which is why grid arrays are read-only.  The
     refined grid of the convergence check is built afresh each time.
@@ -356,10 +349,9 @@ def phase_sign_check(d: WeightedLineData, g: SectorGrid) -> float:
     """Largest grid radius below which the proof's sign identities hold."""
     if d.a_ell == 0:
         raise DomainError("phase_sign_check needs a_ℓ ≠ 0")
-    rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
-    d_r, d_th = d.grad_neg_re_phi(rr, tt)
-    pred_th = np.sin(d.tau - d.ell * tt)
-    pred_r = -np.cos(d.tau - d.ell * tt)
+    d_r, d_th = d.grad_neg_re_phi(g.radii[:, None], g.thetas[None, :])
+    pred_th = np.sin(d.tau - d.ell * g.thetas)
+    pred_r = -np.cos(d.tau - d.ell * g.thetas)
     ok = (d_th * pred_th >= -1e-12 * (1 + np.abs(d_th))) \
         & (d_r * pred_r >= -1e-12 * (1 + np.abs(d_r)))
     idx = _first_false(np.all(ok, axis=1))
@@ -382,8 +374,7 @@ def log_psi(d: WeightedLineData, g: SectorGrid, sector=None) -> np.ndarray:
     if sector is None:
         sector = (g.thetas[0], g.thetas[-1])
     th = np.linspace(sector[0], sector[1], len(g.thetas))
-    rr, tt = np.meshgrid(g.radii, th, indexing="ij")
-    return _log_cumtrapz(2.0 * d.neg_re_phi(rr, tt), th)[:, -1]
+    return _log_cumtrapz(2.0 * _on_grid(d.neg_re_phi, g.radii, th), th)[:, -1]
 
 
 def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
@@ -434,6 +425,11 @@ def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
 
 # -- Hardy measurements -------------------------------------------------------
 
+def _grows_in_theta(d: WeightedLineData, th) -> bool:
+    """Whether e^{−2Re φ} grows along th: a_ℓ ≠ 0, mean sin(τ − ℓθ) > 0."""
+    return d.a_ell != 0 and bool(np.mean(np.sin(d.tau - d.ell * th)) > 0)
+
+
 def hardy_angular(d: WeightedLineData, inner, outer, g: SectorGrid) -> float:
     """sup_r of C_n(r) = 4·sup_θ ∫_θ^{θ₁'} w · ∫_{θ₀'}^θ w⁻¹ (log-safe).
 
@@ -444,17 +440,14 @@ def hardy_angular(d: WeightedLineData, inner, outer, g: SectorGrid) -> float:
     """
     th0, th1 = outer
     th = np.linspace(th0, th1, len(g.thetas))
-    increasing = False
     if d.a_ell != 0:
         s = np.sin(d.tau - d.ell * th)
         if not (np.all(s >= -1e-12) or np.all(s <= 1e-12)):
             raise NotMonotone("weight is not θ-monotone on the outer sector")
-        increasing = bool(np.mean(s) > 0)
-    rr, tt = np.meshgrid(g.radii, th, indexing="ij")
-    lw = 2.0 * d.neg_re_phi(rr, tt)
+    lw = 2.0 * _on_grid(d.neg_re_phi, g.radii, th)
     # pair the cumulative of w on its small side with that of 1/w on
     # its own small side, so the product stays bounded by width²/4
-    if increasing:
+    if _grows_in_theta(d, th):
         upper = _log_cumtrapz(lw, th, reverse=False)    # ∫_{θ0}^θ w
         lower = _log_cumtrapz(-lw, th, reverse=True)    # ∫_θ^{θ1} 1/w
     else:
@@ -481,29 +474,19 @@ def default_bump(inner, outer):
 def build_primitive_angular(omega, d: WeightedLineData, g: SectorGrid, inner):
     """u(r,θ) = ∫ χ g_θ dθ from the monotone end; returns samples + checks.
 
-    χ is the default bump, 1 on the inner sector and 0 outside the grid's.
+    ω = (f, g_θ) is a pair of callables, evaluated as in _on_grid.  χ is
+    the default bump, 1 on the inner sector and 0 outside the grid's.
     """
     outer = (float(g.thetas[0]), float(g.thetas[-1]))
     chi = default_bump(inner, outer)
-    f = _eval_samples(omega[0], g)
-    gt = _eval_samples(omega[1], g)
     th = g.thetas
+    f, gt = (_on_grid(w, g.radii, th) for w in omega)
     chi_v = np.asarray(chi(th), dtype=float)
     integrand = gt * chi_v[None, :]
-    # integrate from the end where the weight is larger (decreasing case
-    # starts at θ₀'); with no phase the orientation is immaterial
-    start_low = True
-    if d.a_ell != 0:
-        s = np.sin(d.tau - d.ell * np.asarray(th))
-        start_low = bool(np.mean(s) <= 0)
-    if callable(omega[1]):
-        def weighted(rv, tv):
-            # χ depends on θ only, and every row of tv is the same
-            return np.asarray(chi(tv[0]), dtype=float) * np.asarray(omega[1](rv, tv))
-
-        u = _cumgauss_theta(weighted, g.radii, th, reverse=not start_low)
-    else:
-        u = _cumtrapz(integrand, th, axis=1, reverse=not start_low)
+    # integrate from the end where the weight is larger (θ₀' when it
+    # decreases); with no phase the orientation is immaterial
+    u = _cumgauss_theta(lambda rv, tv: chi(tv) * omega[1](rv, tv),
+                        g.radii, th, reverse=_grows_in_theta(d, th))
     # FD check of ∂θ u = χ g_θ
     du = np.gradient(u, th, axis=1)
     scale = 1.0 + np.max(np.abs(integrand))
@@ -537,10 +520,10 @@ def build_primitive_radial(f_samples, d: WeightedLineData, g: SectorGrid):
         f = np.asarray(f_samples, dtype=float)
     r = g.radii
     if sign <= 0:
-        u = _cumtrapz(f, r, axis=0)
+        u = _cumtrapz(f, r)
         u = u + f[0] * r[0]  # remainder of ∫₀^{r_min}, flat extrapolation
     else:
-        u = -_cumtrapz(f, r, axis=0, reverse=True)
+        u = -_cumtrapz(f[::-1], r[::-1])[::-1]
     du = np.gradient(u, r)
     residual = float(np.max(np.abs(du - f)) / (1.0 + np.max(np.abs(f))))
     u2 = np.broadcast_to(u[:, None], (len(r), len(g.thetas)))
@@ -551,7 +534,7 @@ def build_primitive_radial(f_samples, d: WeightedLineData, g: SectorGrid):
     rho = np.linspace(1e-9, d.r1, 20001)[1:]
     bound = 4.0 * float(np.max(rho * (d.r1 - rho) / np.log(rho) ** 2))
     # the two one-sided Cauchy–Schwarz estimates from the proof
-    cum_f2 = _cumtrapz(f ** 2, r, axis=0)
+    cum_f2 = _cumtrapz(f ** 2, r)
     cs_ok = bool(np.all(u[1:] ** 2 <= r[1:] * (cum_f2[1:] + f[0] ** 2 * r[0]) + 1e-9))
     return {"u": u, "residual": residual, "ratio_sq": float(ratio_sq),
             "bound": bound, "cauchy_schwarz_ok": cs_ok, "branch": int(sign)}
@@ -587,7 +570,6 @@ def vanishing_report(d: WeightedLineData, trials: int, g: SectorGrid,
     rng = np.random.default_rng(seed)
     inner_w = (g.thetas[-1] - g.thetas[0])
     inner = (float(g.thetas[0] + 0.2 * inner_w), float(g.thetas[-1] - 0.2 * inner_w))
-    rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
     for trial in range(trials):
         u0, f, gt = _manufactured(rng, g)
         if d.excluded:
@@ -595,7 +577,7 @@ def vanishing_report(d: WeightedLineData, trials: int, g: SectorGrid,
                          "residual": float("nan"), "verdict": "excluded"})
             continue
         out = build_primitive_angular((f, gt), d, g, inner)
-        u_true = u0(rr, tt)
+        u_true = _on_grid(u0, g.radii, g.thetas)
         # compare on the plateau, modulo the function-of-r gauge freedom
         mask = out["chi"] >= 1.0 - 1e-12
         diff = (out["u"] - u_true)[:, mask]

@@ -12,8 +12,8 @@ from connexion_lab.errors import (DomainError, NonconvergentQuadrature,
 from connexion_lab.l2lab import (_GL_NODES, _GL_WEIGHTS, SectorGrid,
                                  WeightedLineData, _cumgauss_theta,
                                  _eval_samples, _first_false, _grid_weight,
-                                 _log_cumtrapz, _norm_on_grid, _np_trapz,
-                                 _tail_weight_integral,
+                                 _log_cumtrapz, _manufactured, _norm_on_grid,
+                                 _np_trapz, _tail_weight_integral,
                                  build_primitive_angular,
                                  build_primitive_radial, default_bump,
                                  hardy_angular, log_psi, phase_sign_check,
@@ -511,7 +511,7 @@ def test_hardy_angular_overflowing_rows():
     sec = (0.3, 1.2)
     for a_ell in (1e300, -1e300):
         d = WeightedLineData.create(a_ell=a_ell, ell=1, sector=sec, r1=0.5)
-        g = SectorGrid.make(sector=sec, r1=0.5, shape=(60, 32), r_min=1e-12)
+        g = SectorGrid(np.geomspace(1e-12, 0.5, 60), np.linspace(*sec, 32))
         with np.errstate(over="ignore", invalid="ignore"):
             rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
             lw = 2.0 * d.neg_re_phi(rr, tt)
@@ -551,6 +551,103 @@ def test_kernels_match_loops_on_catalog_weights(name, d, sec, inner):
         assert np.array_equal(
             _cumgauss_theta(integrand, g.radii, g.thetas, reverse),
             ref_cumgauss_theta(integrand, g.radii, g.thetas, reverse))
+
+
+# -- one grid evaluator against the meshgrid and contiguous-copy versions ------
+# The oracles are the code before _on_grid: every callable saw full
+# (radii × θ) arrays.  A radius column against a θ row must give the same
+# bits.
+
+def old_cumgauss_theta(func, radii, thetas, reverse=False):
+    th = np.asarray(thetas, dtype=float)
+    order = th if not reverse else th[::-1]
+    a, b = order[:-1], order[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    shape = (len(radii), len(a))
+    rr = np.broadcast_to(np.asarray(radii, dtype=float)[:, None], shape).copy()
+    seg = np.zeros(shape)
+    for node, wt in zip(_GL_NODES, _GL_WEIGHTS):
+        # contiguous copies: numpy may round a transcendental ufunc
+        # differently on a broadcast (strided) input than on a row
+        tt = np.broadcast_to(mid + half * node, shape).copy()
+        seg = seg + wt * np.asarray(func(rr, tt))
+    res = np.concatenate([np.zeros((shape[0], 1)),
+                          np.cumsum(half * seg, axis=1)], axis=1)
+    if reverse:
+        res = res[:, ::-1]
+    return res
+
+
+def old_eval_samples(samples, g):
+    if callable(samples):
+        rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
+        return np.asarray(samples(rr, tt), dtype=float)
+    arr = np.asarray(samples, dtype=float)
+    if arr.shape != (len(g.radii), len(g.thetas)):
+        raise DomainError(f"sample array shape {arr.shape} does not match grid")
+    return arr
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("preset", ["coarse", "default"])
+@pytest.mark.parametrize("name,d,sec,inner", catalog_weights(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_cumgauss_theta_matches_contiguous_copies(name, d, sec, inner, preset,
+                                                  reverse):
+    g = grid(sec, preset)
+    chi = default_bump(inner, sec)
+    _, _, gt = _manufactured(np.random.default_rng(5), g)
+
+    def weighted_phase(r, t):
+        return np.exp(d.neg_re_phi(r, t)) * np.cos(t)
+
+    # the integrand build_primitive_angular hands over in vanishing_report
+    def bumped(r, t):
+        return chi(t) * gt(r, t)
+
+    for func in (weighted_phase, bumped):
+        new = _cumgauss_theta(func, g.radii, g.thetas, reverse)
+        assert np.array_equal(new, old_cumgauss_theta(func, g.radii, g.thetas,
+                                                       reverse))
+
+
+@pytest.mark.parametrize("preset", ["coarse", "default"])
+@pytest.mark.parametrize("func,shape", [
+    (lambda r, t: np.ones_like(r), "R1"),
+    (lambda r, t: np.cos(3.0 * t) - np.sin(t - 0.3), "1T"),
+    (lambda r, t: np.cos(3.0 * t) / (1.0 - np.log(r)) + np.sin(t) * r ** 2, "RT"),
+], ids=["R1", "1T", "RT"])
+def test_eval_samples_matches_meshgrid(func, shape, preset):
+    g = grid((0.3, 1.2), preset)
+    size = {"R": len(g.radii), "T": len(g.thetas), "1": 1}
+    assert np.shape(func(g.radii[:, None], g.thetas[None, :])) == \
+        tuple(size[c] for c in shape)
+    new = _eval_samples(func, g)
+    assert new.shape == (len(g.radii), len(g.thetas))
+    assert np.array_equal(new, old_eval_samples(func, g))
+
+
+@pytest.mark.parametrize("params,sec,inner,increasing", HARDY_ORIENTATIONS)
+def test_angular_orientation_follows_the_weight(params, sec, inner, increasing):
+    # u starts (is exactly 0) on the θ end where e^{−2Re φ} is larger, and
+    # hardy_angular pairs its cumulative integrals by the same rule.  The
+    # radii start at 0.1, where no weight here overflows, so that the norm
+    # ratio of build_primitive_angular stays finite on every case.
+    d = WeightedLineData.create(r1=0.5, sector=sec, **params)
+    coarse = grid(sec, "coarse")
+    assert hardy_angular(d, inner, sec, coarse) == \
+        ref_hardy_angular(d, inner, sec, coarse)
+    g = SectorGrid(np.geomspace(0.1, 0.5, 200), coarse.thetas)
+    lw = d.neg_re_phi(g.radii[0], g.thetas[[0, -1]])
+    grows = bool(lw[1] > lw[0])
+    if increasing is not None:
+        assert grows == increasing
+    out = build_primitive_angular((lambda r, t: np.zeros_like(r),
+                                   lambda r, t: np.cos(t)), d, g, inner)
+    start, end = (-1, 0) if grows else (0, -1)
+    assert np.all(out["u"][:, start] == 0.0)
+    assert np.all(out["u"][:, end] != 0.0)
+    assert hardy_angular(d, inner, sec, g) == ref_hardy_angular(d, inner, sec, g)
 
 
 def test_neg_re_phi_flat_is_exact_zero_with_broadcast_shape():
