@@ -301,7 +301,8 @@ def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
     else:
         sq = _eval_samples(samples, g) ** 2
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = np.where(sq > 0, sq * w, 0.0)
+        vals = sq * w
+    vals[~(sq > 0)] = 0.0
     if np.any(np.isinf(vals)):
         return math.inf
     inner = _np_trapz(vals, g.thetas, axis=1)
@@ -381,7 +382,8 @@ def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
     """ψ(r) table plus monotonicity verdicts of r^N ψ for each N.
 
     Needs cos(ℓθ−τ) of constant sign on the sector, or an explicit
-    sub-sector playing the role of ψ₊.
+    sub-sector playing the role of ψ₊; raises UnboundedRatio when the
+    sub-sector's κ ratio overflows a float.
     """
     sector = (g.thetas[0], g.thetas[-1])
     if d.a_ell != 0:
@@ -400,7 +402,11 @@ def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
     kappa_ratio = None
     if sub_sector is not None:
         lp_full = log_psi(d, g, sector)
-        kappa_ratio = float(np.exp(np.max(lp_full - lp)))
+        with np.errstate(over="ignore"):
+            kappa_ratio = float(np.exp(np.max(lp_full - lp)))
+        if not math.isfinite(kappa_ratio):
+            raise UnboundedRatio("ψ over the sector / ψ over the sub-sector "
+                                 "is not finite")
     rows = [{"r": float(r), "log_psi": float(v)} for r, v in zip(g.radii, lp)]
     verdicts = {}
     lnr = np.log(g.radii)

@@ -4,10 +4,10 @@ All formulas are closed-form in a(z) = |log z z̄| and the sl2 data of the
 adapted frame; matrix exponentials of the nilpotent pieces are finite
 sums, so the only numerical error is float rounding.  Every function of
 a point takes one point or an array of points and works on (n, d, d)
-stacks, one block at a time.  The weights and the exponentials e^{±X},
-e^{−Y} of a block are cached on its ``MetricBlock``, so they are built
-once per block; ``_orthonormal`` is the one change to the orthonormal
-frame.
+stacks, one block at a time.  The a-independent data of a block are
+cached on its ``MetricBlock``; ``_orthonormal`` is the one change to the
+orthonormal frame, and ``pseudo_curvature`` takes Θ(a) and Θ(2a) from
+one ``_theta_block`` call per block, on the stacked radii (a, 2a).
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def _points(z):
     """(zs, a(zs)) for a point or an array of points, all in 0 < |z| < 1."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     r = np.abs(zs)
-    if np.any(r == 0) or np.any(r >= 1):
+    if ((r == 0) | (r >= 1)).any():
         raise DomainError("metric evaluation needs 0 < |z| < 1")
-    return zs, poincare_a(zs)
+    return zs, abs(2.0 * np.log(r))
 
 
 def _shaped(z, out):
@@ -55,9 +55,9 @@ def _pow(a: np.ndarray, p: int) -> np.ndarray:
 
 def _diag(v: np.ndarray) -> np.ndarray:
     """Stack of diagonal matrices with the rows of v on their diagonals."""
-    out = np.zeros(v.shape + v.shape[-1:], dtype=v.dtype)
-    i = np.arange(v.shape[-1])
-    out[..., i, i] = v
+    s = v.shape[-1]
+    out = np.zeros(v.shape + (s,), dtype=v.dtype)
+    out.reshape(v.shape[:-1] + (s * s,))[..., ::s + 1] = v
     return out
 
 
@@ -94,7 +94,7 @@ def eval_metric(mm: ModelMetric, z):
 
 def _curvature_block(b: MetricBlock, a2, a3) -> np.ndarray:
     """R = 2H/a² − 4X/a³ of one block; a2, a3 are (n, 1, 1) stacks."""
-    return 2 * np.diag(b.weights) / a2 - 4 * b.triple.x / a3
+    return 2 * b.triple.h / a2 - 4 * b.triple.x / a3
 
 
 def connection_and_curvature(mm: ModelMetric, z):
@@ -107,10 +107,10 @@ def connection_and_curvature(mm: ModelMetric, z):
     a2, a3 = _pow(a, 2), _pow(a, 3)
     n = len(zs)
     m_k = _block_stack(mm, n, lambda b: (
-        -float(b.alpha.re) * np.eye(b.size) - b.triple.y
-        - 2 * np.diag(b.weights) / a[:, None, None] + 2 * b.triple.x / a2))
+        -float(b.alpha.re) * b.eye - b.triple.y
+        - 2 * b.triple.h / a[:, None, None] + 2 * b.triple.x / a2))
     r = _block_stack(mm, n, lambda b: _curvature_block(b, a2, a3))
-    r_orth = _block_stack(mm, n, lambda b: 2 * np.diag(b.weights) / a2)
+    r_orth = _block_stack(mm, n, lambda b: 2 * b.triple.h / a2)
     ratio = np.linalg.norm(r_orth, 2, axis=(1, 2)) * a2[:, 0, 0]
     return tuple(_shaped(z, x) for x in (m_k, r, r_orth, ratio))
 
@@ -124,18 +124,18 @@ def curvature_knorm_ratio(mm: ModelMetric, z) -> np.ndarray:
     zs, a = _points(z)
     a2, a3 = _pow(a, 2), _pow(a, 3)
     r = _block_stack(mm, len(zs), lambda b: _orthonormal(
-        b, a, _curvature_block(b, a2, a3))[0])
+        b, a, _curvature_block(b, a2, a3)[:, None])[:, 0])
     return _shaped(z, np.linalg.norm(r, 2, axis=(1, 2)) * a2[:, 0, 0])
 
 
-def _orthonormal(block: MetricBlock, a, *mats) -> list[np.ndarray]:
-    """Each matrix in the orthonormal frame e·P: e^{−X}·a^{H/2}·M·a^{−H/2}·e^{X}.
+def _orthonormal(block: MetricBlock, a, mats) -> np.ndarray:
+    """Matrices in the orthonormal frame e·P: e^{−X}·a^{H/2}·M·a^{−H/2}·e^{X}.
 
-    a is an array of points; each matrix is one (s, s) or a stack per point.
+    a holds n points; mats is a (k, s, s) stack shared by the points or an
+    (n, k, s, s) stack per point, and gives an (n, k, s, s) result.
     """
-    ah = _diag(a[:, None] ** (block.weights / 2.0))
-    ahm = _diag(a[:, None] ** (-block.weights / 2.0))
-    return [block.exp_neg_x @ ah @ m @ ahm @ block.exp_x for m in mats]
+    ah, ahm = _diag(a[:, None, None] ** block.half_weights).swapaxes(0, 1)
+    return (block.exp_neg_x @ ah)[:, None] @ mats @ ahm[:, None] @ block.exp_x
 
 
 def _theta_block(block: MetricBlock, a):
@@ -145,13 +145,10 @@ def _theta_block(block: MetricBlock, a):
     ∂̄ is 0 and which commutes with N^{0,1}, so the pseudo-curvature is
     the same without it, and carrying it would cost |zφ′|·eps.
     """
-    al = block.alpha.to_complex()
-    ap = al.real
-    y, h = _orthonormal(block, a, block.triple.y, np.diag(block.weights))
-    eye = np.eye(block.size)
-    h = h / (2 * a)[:, None, None]
-    m10 = y + (-al + ap / 2.0) * eye + h
-    m01 = (ap / 2.0) * eye + h
+    al, yh = block.alpha_complex, _orthonormal(block, a, block.y_h)
+    y, h = yh[:, 0], yh[:, 1] / (2 * a)[:, None, None]
+    m10 = y + (-al + al.real / 2.0) * block.eye + h
+    m01 = (al.real / 2.0) * block.eye + h
     theta = 0.5 * (m10 + m01.swapaxes(1, 2))  # m01 is real
     n01 = m01 - theta.conj().swapaxes(1, 2)
     return theta, n01
@@ -161,25 +158,27 @@ def pseudo_curvature(mm: ModelMetric, z) -> np.ndarray:
     """Matrix of ∂̄_E(θ) in the orthonormal frame; vanishes for the model.
 
     Θ is affine in 1/a with z-independent matrix coefficients, so the
-    z̄-derivative is extracted exactly from two evaluations instead of a
-    finite-difference stencil.
+    z̄-derivative is extracted exactly from Θ(a) and Θ(2a) instead of a
+    finite-difference stencil.  Both come from one ``_theta_block`` call
+    per block on the stacked radii (a, 2a), from the block's cached data.
     """
     zs, a = _points(z)
-    a2 = _pow(a, 2)
+    n, a2, a_2a = len(zs), _pow(a, 2), np.concatenate([a, 2 * a])
+    two_a = a_2a[n:, None, None]
 
     def g_block(b):
-        theta, n01 = _theta_block(b, a)
-        theta2, _ = _theta_block(b, 2 * a)
-        dbar_theta = 2 * a[:, None, None] * (theta - theta2) / a2
+        theta_2, n01 = _theta_block(b, a_2a)
+        theta, theta2, n01 = theta_2[:n], theta_2[n:], n01[:n]
+        dbar_theta = two_a * (theta - theta2) / a2
         return dbar_theta + n01 @ theta - theta @ n01
 
-    return _shaped(z, _block_stack(mm, len(zs), g_block))
+    return _shaped(z, _block_stack(mm, n, g_block))
 
 
 def higgs_field(mm: ModelMetric) -> np.ndarray:
     """Constant coefficient of dz/z: per block (−i α″/2)·Id + Y."""
     return _block_stack(mm, 1, lambda b: (
-        (-0.5j * float(b.alpha.im)) * np.eye(b.size) + b.triple.y))[0]
+        (-0.5j * float(b.alpha.im)) * b.eye + b.triple.y))[0]
 
 
 def horizontal_norm_check(mm: ModelMetric, j: int, sector, grid=(40, 40)):
@@ -200,7 +199,7 @@ def horizontal_norm_check(mm: ModelMetric, j: int, sector, grid=(40, 40)):
     # column jj of exp(−log z·Y) per point; a size-1 block gives one
     # unstacked (1, 1) identity, which broadcasts
     vec = (_nilpotent_exp(block.triple.y, -logz[:, None, None])[..., jj]
-           * np.exp(block.alpha.to_complex() * logz)[:, None])
+           * np.exp(block.alpha_complex * logz)[:, None])
     # the e^{−φ} factor of ẽ_j cancels against the e^{−2Re φ} of the
     # reference norm exactly, so it is dropped on both sides
     sl = slice(block.offset, block.offset + block.size)

@@ -108,9 +108,10 @@ class MetricBlock:
     """One (φ, α, partition) summand with its frame data.
 
     offset is the position of the block inside the full frame.  The
-    weights and the exponentials e^{±X}, e^{−Y} are built once per block
-    and cached read-only; they enter the closed-form metric evaluation and
-    the change to the orthonormal frame.
+    weights, the exponentials e^{±X}, e^{−Y}, the exponents ±H/2, the
+    complex α, the identity and the stack (Y, H) are built once per block
+    and cached read-only; they enter the closed-form metric evaluation,
+    the change to the orthonormal frame and the Higgs field Θ.
     """
 
     phi: PuiseuxSeries
@@ -138,6 +139,24 @@ class MetricBlock:
     def exp_neg_y(self) -> np.ndarray:
         return _read_only(_nilpotent_exp(self.triple.y, -1.0))
 
+    @cached_property
+    def half_weights(self) -> np.ndarray:
+        """The diagonals of H/2 and −H/2 as one (2, s) stack."""
+        return _read_only(np.stack([self.weights / 2.0, -self.weights / 2.0]))
+
+    @cached_property
+    def alpha_complex(self) -> complex:
+        return self.alpha.to_complex()
+
+    @cached_property
+    def eye(self) -> np.ndarray:
+        return _read_only(np.eye(self.size))
+
+    @cached_property
+    def y_h(self) -> np.ndarray:
+        """(Y, H) as one (2, s, s) stack."""
+        return _read_only(np.stack([self.triple.y, self.triple.h]))
+
 
 @dataclass(frozen=True)
 class ModelMetric:
@@ -162,7 +181,7 @@ class ModelMetric:
     def vector_alpha(self) -> np.ndarray:
         out = []
         for b in self.blocks:
-            out.extend([b.alpha.to_complex()] * b.size)
+            out.extend([b.alpha_complex] * b.size)
         return np.array(out, dtype=complex)
 
 

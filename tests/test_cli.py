@@ -1,6 +1,7 @@
 """CLI behavior: commands, exit codes, report determinism."""
 
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -278,6 +279,22 @@ def test_l2verify_cos_zero_sector_exits_5(tmp_path, capsys):
     code, _, err = run(capsys, "l2verify", str(path))
     assert code == 5
     assert "SectorContainsCosZero" in err
+
+
+def test_l2verify_overflowing_kappa_ratio_exits_5(tmp_path, capsys):
+    """max ψ(sector)/ψ(sub_sector) overflows: exit 5, never Infinity in JSON."""
+    params = {"r1": 0.1, "a_ell": [1e-300, -1e6],
+              "sector": [3.55543636431476, 3.5654363643147597],
+              "inner": [3.5574363643147597, 3.56343636431476],
+              "sub_sector": [3.55643636431476, 3.55943636431476]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "l2verify", str(path), "--grid", "coarse",
+                             "--trials", "1")
+    assert code == 5
+    assert out == "" and "UnboundedRatio" in err, err
 
 
 @pytest.mark.parametrize("params", [

@@ -936,6 +936,20 @@ def test_interleaved_data_keep_their_own_weights():
     assert len(g._weights) == 2 * len(data)
 
 
+def test_zero_samples_mask_an_overflowing_weight():
+    # e^{−2Re φ} overflows below r ≈ 3e-3 here; samples that vanish there
+    # add 0 to the norm, not 0·inf = nan
+    d = WeightedLineData.create(beta=0.0, kappa=0, ell=1, a_ell=-1.0,
+                                sector=SEC1, r1=0.5)
+    g = grid(SEC1, "coarse")
+    assert np.isinf(_grid_weight(d, g, d.kappa)[0]).any()
+    fn = lambda r, t: np.where(r > 0.01, np.cos(t), 0.0)
+    for p, samples in ((0, fn), (1, (fn, fn))):
+        v = _norm_on_grid(p, samples, d, g)
+        assert math.isfinite(v) and v > 0
+        assert v == ref_norm_on_grid(p, samples, d, g)
+
+
 def test_grid_arrays_are_read_only():
     radii, thetas = np.geomspace(1e-6, 0.5, 20), np.linspace(0.3, 1.2, 8)
     g = SectorGrid(radii, thetas)

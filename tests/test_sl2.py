@@ -63,6 +63,21 @@ def test_triple_matrices_are_built_once_read_only():
     assert np.array_equal(t.x, t.y.T)
 
 
+def test_block_constants_are_built_once_read_only():
+    m = ElementaryModel(1, ((PuiseuxSeries(1, {}, 12),
+                             (RegularBlockData(CQ.of((1, 3), (1, 2)), (3, 2)),)),))
+    b = adapted_metric_frame(m).blocks[0]
+    w = np.array(b.triple.weights, dtype=float)
+    expected = {"half_weights": np.stack([w / 2.0, -w / 2.0]), "eye": np.eye(5),
+                "y_h": np.stack([b.triple.y, np.diag(w)])}
+    for name, value in expected.items():
+        arr = getattr(b, name)
+        assert getattr(b, name) is arr and np.array_equal(arr, value)
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    assert b.alpha_complex == complex(1 / 3, 1 / 2) == b.alpha.to_complex()
+
+
 def test_adapted_frame_layout():
     m = ElementaryModel(1, (
         (PuiseuxSeries(1, {-1: CQ.of(1)}, 12),
