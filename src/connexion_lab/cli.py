@@ -31,7 +31,11 @@ _BOUND_ERRORS = (SectorContainsCosZero, NotMonotone, UnboundedRatio)
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """text to the file out_path, or to stdout without one."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -223,10 +227,10 @@ def cmd_l2verify(args) -> int:
 def cmd_catalog(args) -> int:
     rows = catalog.entries()
     if args.json:
-        _emit({"entries": rows}, getattr(args, "out", None))
+        _emit({"entries": rows}, args.out)
     else:
-        for r in rows:
-            print(f"{r['name']:<16} rank {r['rank']}  {r['description']}")
+        _write("".join(f"{r['name']:<16} rank {r['rank']}  {r['description']}\n"
+                       for r in rows), args.out)
     return 0
 
 

@@ -322,11 +322,14 @@ def split_by_spectrum(germ: ConnectionGerm, groups,
         solver = [[(k, s) for k, s in enumerate(row) if not s.is_zero]
                   for row in inv]
 
+    settled = None  # the X = 0 probe's verdict: it reads a, not the order
     for order in range(-v + 1, trunc + 1):
         # every later gauge moves the truncations as one with X = 0 does
-        if order > last and all(x.trunc == s.trunc for pr, row in zip(
-                unipotent_gauge(a, exactla.zeros(d, d), order + v, trunc, -1), a)
-                for x, s in zip(pr, row)):
+        if order > last and settled is None:
+            probe = unipotent_gauge(a, exactla.zeros(d, d), order + v, trunc, -1)
+            settled = all(x.trunc == s.trunc
+                          for pr, row in zip(probe, a) for x, s in zip(pr, row))
+        if settled:
             known = cap
             break
         if known is not None and order > known:
@@ -344,7 +347,7 @@ def split_by_spectrum(germ: ConnectionGerm, groups,
             x[i][j] = sum((s * rhs[k] for k, s in row if not rhs[k].is_zero),
                           CQ_ZERO)
         a = unipotent_gauge(a, x, order + v, trunc, cap)
-        known = cap
+        known, settled = cap, None
 
     parts = [[i for i in range(d) if block[i] == k] for k in range(len(groups))]
     return [ConnectionGerm(len(p), q, [[a[i][j] for j in p] for i in p], known)

@@ -318,20 +318,20 @@ def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
     return total
 
 
-def weighted_norm(p: int, samples, d: WeightedLineData, g: SectorGrid,
-                  check: bool = True) -> float:
+def weighted_norm(p: int, samples, d: WeightedLineData, g: SectorGrid) -> float:
     """Squared norm ∫|·|² r^{2β}|log r|^{κ+2(p−1)} e^{−2Re φ} dθ dr/r.
 
-    Callable samples are evaluated as in _on_grid, so they must broadcast.
-    The weight is computed once per (data, log power) and kept on the grid
-    for the grid's lifetime, which is why grid arrays are read-only.  The
-    refined grid of the convergence check is built afresh each time.
+    Callable samples are evaluated as in _on_grid, so they must broadcast;
+    a finite nonzero value from them is checked against the refined grid,
+    built afresh each time.  Sample arrays are taken as given.  The weight
+    is computed once per (data, log power) and kept on the grid for the
+    grid's lifetime, which is why grid arrays are read-only.
     """
     if p not in (0, 1, 2):
         raise DomainError("form degree must be 0, 1 or 2")
     val = _norm_on_grid(p, samples, d, g)
     refinable = callable(samples) or (p == 1 and all(callable(s) for s in samples))
-    if check and refinable and math.isfinite(val) and val != 0:
+    if refinable and math.isfinite(val) and val != 0:
         val2 = _norm_on_grid(p, samples, d, g.refined())
         if abs(val2 - val) > 0.01 * abs(val):
             raise NonconvergentQuadrature(
@@ -360,7 +360,9 @@ def phase_sign_check(d: WeightedLineData, g: SectorGrid) -> float:
 
 
 def _cos_sign_on_sector(d: WeightedLineData, sector) -> int:
-    """Sign of cos(ℓθ−τ) if constant on the closed sector, else 0."""
+    """Sign of cos(ℓθ−τ) if constant on the closed sector, else 0 (a_ℓ = 0: 0)."""
+    if d.a_ell == 0:
+        return 0
     th = np.linspace(sector[0], sector[1], 513)
     c = np.cos(d.ell * th - d.tau)
     if np.all(c > 1e-12):
@@ -386,17 +388,14 @@ def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
     sub-sector's κ ratio overflows a float.
     """
     sector = (g.thetas[0], g.thetas[-1])
-    if d.a_ell != 0:
-        sign = _cos_sign_on_sector(d, sector)
+    sign = _cos_sign_on_sector(d, sector)
+    if sign == 0 and d.a_ell != 0:
+        if sub_sector is None:
+            raise SectorContainsCosZero(
+                "cos(ℓθ−τ) changes sign; supply a sub-sector")
+        sign = _cos_sign_on_sector(d, sub_sector)
         if sign == 0:
-            if sub_sector is None:
-                raise SectorContainsCosZero(
-                    "cos(ℓθ−τ) changes sign; supply a sub-sector")
-            sign = _cos_sign_on_sector(d, sub_sector)
-            if sign == 0:
-                raise SectorContainsCosZero("sub-sector also straddles a zero")
-    else:
-        sign = 0
+            raise SectorContainsCosZero("sub-sector also straddles a zero")
     work_sector = sub_sector if sub_sector is not None else sector
     lp = log_psi(d, g, work_sector)
     kappa_ratio = None
@@ -451,14 +450,11 @@ def hardy_angular(d: WeightedLineData, inner, outer, g: SectorGrid) -> float:
         if not (np.all(s >= -1e-12) or np.all(s <= 1e-12)):
             raise NotMonotone("weight is not θ-monotone on the outer sector")
     lw = 2.0 * _on_grid(d.neg_re_phi, g.radii, th)
-    # pair the cumulative of w on its small side with that of 1/w on
-    # its own small side, so the product stays bounded by width²/4
-    if _grows_in_theta(d, th):
-        upper = _log_cumtrapz(lw, th, reverse=False)    # ∫_{θ0}^θ w
-        lower = _log_cumtrapz(-lw, th, reverse=True)    # ∫_θ^{θ1} 1/w
-    else:
-        upper = _log_cumtrapz(lw, th, reverse=True)     # ∫_θ^{θ1} w
-        lower = _log_cumtrapz(-lw, th, reverse=False)   # ∫_{θ0}^θ 1/w
+    # pair the cumulative of w on its small side (from θ0 when w grows) with
+    # that of 1/w on its own small side, so the product stays ≤ width²/4
+    grows = _grows_in_theta(d, th)
+    upper = _log_cumtrapz(lw, th, reverse=not grows)
+    lower = _log_cumtrapz(-lw, th, reverse=grows)
     with np.errstate(invalid="ignore"):
         c_r = 4.0 * np.exp(np.max(upper + lower, axis=1))
     return max(0.0, float(np.max(np.where(np.isnan(c_r), 0.0, c_r))))
@@ -501,8 +497,8 @@ def build_primitive_angular(omega, d: WeightedLineData, g: SectorGrid, inner):
     lnr = np.log(g.radii)
     curl = np.gradient(gt, lnr, axis=0) - np.gradient(f, th, axis=1)
     curl_rel = float(np.max(np.abs(curl)) / (1.0 + np.max(np.abs(f) + np.abs(gt))))
-    nu = weighted_norm(0, u, d, g, check=False)
-    nden = weighted_norm(1, (np.zeros_like(u), integrand), d, g, check=False)
+    nu = weighted_norm(0, u, d, g)
+    nden = weighted_norm(1, (np.zeros_like(u), integrand), d, g)
     ratio = math.sqrt(nu / nden) if nden > 0 else 0.0
     if not math.isfinite(ratio):
         raise UnboundedRatio("angular primitive has infinite norm ratio")
@@ -511,19 +507,12 @@ def build_primitive_angular(omega, d: WeightedLineData, g: SectorGrid, inner):
             "bound": 2.0 * width, "curl_rel": curl_rel, "chi": chi_v}
 
 
-def build_primitive_radial(f_samples, d: WeightedLineData, g: SectorGrid):
-    """u(r) = ∫₀^r f dρ or −∫_r^{r₁} f dρ, branch chosen by the ψ trend."""
-    sector = (float(g.thetas[0]), float(g.thetas[-1]))
-    if d.a_ell != 0:
-        sign = _cos_sign_on_sector(d, sector)
-        if sign == 0:
-            raise NotMonotone("ψ has no one-sided trend on this sector")
-    else:
-        sign = 0
-    if callable(f_samples):
-        f = np.asarray(f_samples(g.radii), dtype=float)
-    else:
-        f = np.asarray(f_samples, dtype=float)
+def build_primitive_radial(f_r, d: WeightedLineData, g: SectorGrid):
+    """u(r) = ∫₀^r f dρ or −∫_r^{r₁} f dρ for a callable f_r(r), by the ψ trend."""
+    sign = _cos_sign_on_sector(d, (float(g.thetas[0]), float(g.thetas[-1])))
+    if sign == 0 and d.a_ell != 0:
+        raise NotMonotone("ψ has no one-sided trend on this sector")
+    f = np.asarray(f_r(g.radii), dtype=float)
     r = g.radii
     if sign <= 0:
         u = _cumtrapz(f, r)
@@ -534,8 +523,8 @@ def build_primitive_radial(f_samples, d: WeightedLineData, g: SectorGrid):
     residual = float(np.max(np.abs(du - f)) / (1.0 + np.max(np.abs(f))))
     u2 = np.broadcast_to(u[:, None], (len(r), len(g.thetas)))
     f2 = np.broadcast_to((f * r)[:, None], (len(r), len(g.thetas)))
-    nu = weighted_norm(0, np.array(u2), d, g, check=False)
-    nf = weighted_norm(1, (np.array(f2), np.zeros_like(f2)), d, g, check=False)
+    nu = weighted_norm(0, u2, d, g)
+    nf = weighted_norm(1, (f2, np.zeros_like(f2)), d, g)
     ratio_sq = nu / nf if nf > 0 else 0.0
     rho = np.linspace(1e-9, d.r1, 20001)[1:]
     bound = 4.0 * float(np.max(rho * (d.r1 - rho) / np.log(rho) ** 2))
@@ -572,16 +561,15 @@ def _manufactured(rng, g: SectorGrid):
 def vanishing_report(d: WeightedLineData, trials: int, g: SectorGrid,
                      seed: int = 0):
     """Monte Carlo over manufactured closed forms; constants tabulated."""
+    if d.excluded:
+        return [{"trial": trial, "ratio": float("nan"), "residual": float("nan"),
+                 "verdict": "excluded"} for trial in range(trials)]
     rows = []
     rng = np.random.default_rng(seed)
     inner_w = (g.thetas[-1] - g.thetas[0])
     inner = (float(g.thetas[0] + 0.2 * inner_w), float(g.thetas[-1] - 0.2 * inner_w))
     for trial in range(trials):
         u0, f, gt = _manufactured(rng, g)
-        if d.excluded:
-            rows.append({"trial": trial, "ratio": float("nan"),
-                         "residual": float("nan"), "verdict": "excluded"})
-            continue
         out = build_primitive_angular((f, gt), d, g, inner)
         u_true = _on_grid(u0, g.radii, g.thetas)
         # compare on the plateau, modulo the function-of-r gauge freedom

@@ -303,21 +303,18 @@ def assemble_matrix(m: ElementaryModel, trunc: int | None = None) -> ConnectionG
         trunc = max(trunc, 24)
     rows: SMatrix = [[PuiseuxSeries(ram, {}, trunc) for _ in range(d)]
                      for _ in range(d)]
+    one = PuiseuxSeries(ram, {0: CQ_ONE}, trunc)
     pos = 0
     for phi, regs in m.blocks:
         dphi = ps_derive(phi).lift_ram(ram)
         for reg in regs:
-            r = reg.rank
-            y = jordan_nilpotent(reg.partition)
-            for i in range(r):
-                for j in range(r):
-                    diag = ps_sub(dphi, PuiseuxSeries(ram, {0: reg.alpha}, trunc)) \
-                        if i == j else PuiseuxSeries(ram, {}, trunc)
-                    entry = diag
-                    if not y[i][j].is_zero:
-                        entry = ps_add(entry, PuiseuxSeries(ram, {0: y[i][j]}, trunc))
-                    rows[pos + i][pos + j] = entry
-            pos += r
+            diag = ps_sub(dphi, PuiseuxSeries(ram, {0: reg.alpha}, trunc))
+            for i in range(pos, pos + reg.rank):
+                rows[i][i] = diag
+            for p in reg.partition:  # Y: ones on each Jordan block's subdiagonal
+                for j in range(pos, pos + p - 1):
+                    rows[j + 1][j] = one
+                pos += p
     return ConnectionGerm(d, ram, rows)
 
 

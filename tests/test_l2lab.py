@@ -71,7 +71,7 @@ def test_divergent_norm_is_infinite():
     # β = 0, κ = 0 gives the measure u^{-2}... for p = 0 it converges, but
     # p = 2 carries u^{κ+2} which diverges against dr/r
     d = flat(0.0, 0)
-    v = weighted_norm(2, lambda r, t: np.ones_like(r), d, grid(), check=False)
+    v = weighted_norm(2, lambda r, t: np.ones_like(r), d, grid())
     assert v == math.inf
 
 
@@ -908,9 +908,8 @@ def test_cached_weight_matches_rebuilt_weight(params, sec):
             for samples in _samples(p, g):
                 assert _norm_on_grid(p, samples, d, g) == \
                     ref_norm_on_grid(p, samples, d, g)
-                for check in (False, True):
-                    assert _outcome(weighted_norm, p, samples, d, g, check) == \
-                        _outcome(ref_weighted_norm, p, samples, d, g, check)
+                assert _outcome(weighted_norm, p, samples, d, g) == \
+                    _outcome(ref_weighted_norm, p, samples, d, g, True)
     # one entry per log power, kept across calls
     assert len(g._weights) == 3
     assert _grid_weight(d, g, d.kappa)[0] is _grid_weight(d, g, d.kappa)[0]
