@@ -20,7 +20,7 @@ from .errors import (DomainError, InsufficientTruncation, NilpotentLeading,
 from .model import (ConnectionGerm, ElementaryModel, RegularBlockData, SMatrix,
                     ramified_pullback, smat_coeff, smat_min_trunc, smat_min_val,
                     twist_by_exponential, unipotent_gauge)
-from .series import CQ, CQ_ZERO, PuiseuxSeries, ps_add, ps_eq_to_trunc, ps_neg
+from .series import CQ, CQ_ZERO, PuiseuxSeries, ps_add, ps_neg
 
 RANK_GUARD = 4
 RAM_GUARD = 24
@@ -371,42 +371,13 @@ def shear_step(germ: ConnectionGerm) -> ConnectionGerm:
 
 # -- full decomposition -------------------------------------------------------
 
-def _merge_regs(regs: tuple[RegularBlockData, ...]) -> tuple[RegularBlockData, ...]:
-    merged: dict[CQ, RegularBlockData] = {}
-    for r in regs:
-        if r.alpha in merged:
-            first = merged[r.alpha]
-            r = RegularBlockData(r.alpha, tuple(sorted(first.partition + r.partition,
-                                                       reverse=True)),
-                                 first.lattice_shift)
-        merged[r.alpha] = r
-    return tuple(sorted(merged.values(),
-                        key=lambda r: (r.alpha.re, r.alpha.im, r.partition)))
-
-
-def _merge_blocks(blocks) -> ElementaryModel:
-    """One model from (φ, regs) pairs, φ's equal to truncation merged."""
-    ram = lcm(*(phi.ram for phi, _ in blocks))
-    merged: list[tuple[PuiseuxSeries, tuple[RegularBlockData, ...]]] = []
-    for phi, regs in blocks:
-        phi = phi.lift_ram(ram)
-        for k, (phi_k, regs_k) in enumerate(merged):
-            if ps_eq_to_trunc(phi, phi_k):
-                merged[k] = (phi_k, _merge_regs(regs_k + regs))
-                break
-        else:
-            merged.append((phi, _merge_regs(regs)))
-    merged.sort(key=lambda b: (b[0].valuation() or 0,
-                               tuple((n, c.re, c.im)
-                                     for n, c in sorted(b[0].terms.items()))))
-    return ElementaryModel(ram, tuple(merged))
-
-
 def formal_decompose(germ: ConnectionGerm) -> ElementaryModel:
     """Elementary model of a germ: slopes, exponential parts, regular data.
 
     The splits keep their parts exact up to ``FIRST_WATERMARK``, doubled
     after each read above it, so only the orders that are read are computed.
+    Every φ is lifted to the least common ramification, and the blocks are
+    sorted by the valuation and then the terms of φ.
     """
     if germ.rank > RANK_GUARD:
         raise DomainError(f"rank {germ.rank} exceeds the desk-scale guard "
@@ -414,12 +385,25 @@ def formal_decompose(germ: ConnectionGerm) -> ElementaryModel:
     top = FIRST_WATERMARK
     while True:
         try:
-            return _decompose(germ, top)
+            blocks = _decompose(germ, top)
+            break
         except NeedOrder:
             top *= 2
+    ram = lcm(*(phi.ram for phi, _ in blocks))
+    blocks = [(phi.lift_ram(ram), regs) for phi, regs in blocks]
+    blocks.sort(key=lambda b: (b[0].valuation() or 0,
+                               tuple((n, c.re, c.im) for n, c in b[0].terms.items())))
+    return ElementaryModel(ram, tuple(blocks))
 
 
-def _decompose(cur: ConnectionGerm, top: int) -> ElementaryModel:
+def _decompose(cur: ConnectionGerm, top: int
+               ) -> list[tuple[PuiseuxSeries, tuple[RegularBlockData, ...]]]:
+    """The (φ, regs) blocks of a germ, each φ in its own ramification.
+
+    The φ's are pairwise distinct: the parts of a split have distinct
+    leading eigenvalues, so their φ's differ at t^{−v}.  The α's of a block
+    are distinct too, all from one ``residue_normal_form``.
+    """
     d, q = cur.rank, cur.ram
     phi_acc = PuiseuxSeries(q, {}, max(smat_min_trunc(cur.matrix), 0))
     shear_budget = 4 * d + 8
@@ -441,14 +425,15 @@ def _decompose(cur: ConnectionGerm, top: int) -> ElementaryModel:
                 pulled = ConnectionGerm(d, pulled.ram, pulled.matrix,
                                         (cur.exact + 1) * r - 1)
             # re-read the sub-model series relative to the base variable
-            return _merge_blocks([
-                (ps_add(PuiseuxSeries(phi.ram * r, dict(phi.terms), phi.trunc),
-                        phi_acc),
-                 tuple(RegularBlockData(reg.alpha.scale(Fraction(1, r)),
-                                        reg.partition, reg.lattice_shift)
-                       for reg in regs))
-                for phi, regs in _decompose(pulled, (top + 1) * r - 1).blocks])
+            return [(ps_add(PuiseuxSeries(phi.ram * r, dict(phi.terms), phi.trunc),
+                            phi_acc),
+                     tuple(RegularBlockData(reg.alpha.scale(Fraction(1, r)),
+                                            reg.partition, reg.lattice_shift)
+                           for reg in regs))
+                    for phi, regs in _decompose(pulled, (top + 1) * r - 1)]
 
+        # a nilpotent leading coefficient zeroes every e_k at t^{−kv}, so
+        # its top slope is below v and it is sheared here
         if v > s_t:
             if shear_budget == 0:
                 raise NilpotentLeading("shearing budget exhausted")
@@ -457,22 +442,14 @@ def _decompose(cur: ConnectionGerm, top: int) -> ElementaryModel:
             continue
 
         if s_t == 0:
-            return _merge_blocks([(phi_acc, residue_normal_form(cur))])
+            return [(phi_acc, residue_normal_form(cur))]
 
         groups = exactla.spectrum(smat_coeff(cur.matrix, -v))
-        nonzero = [lam for lam, _, _ in groups if not lam.is_zero]
         if len(groups) >= 2:
-            return _merge_blocks([
-                (ps_add(phi, phi_acc), regs)
-                for part in split_by_spectrum(cur, groups, top)
-                for phi, regs in _decompose(part, top).blocks])
-        if not nonzero:
-            if shear_budget == 0:
-                raise NilpotentLeading("leading coefficient stays nilpotent")
-            shear_budget -= 1
-            cur = shear_step(cur)
-            continue
-        phi_part = PuiseuxSeries(q, {-v: nonzero[0].scale(Fraction(-q, v))},
+            return [(ps_add(phi, phi_acc), regs)
+                    for part in split_by_spectrum(cur, groups, top)
+                    for phi, regs in _decompose(part, top)]
+        phi_part = PuiseuxSeries(q, {-v: groups[0][0].scale(Fraction(-q, v))},
                                  phi_acc.trunc)
         phi_acc = ps_add(phi_acc, phi_part)
         cur = ConnectionGerm(d, q, twist_by_exponential(cur, ps_neg(phi_part)).matrix,

@@ -187,6 +187,20 @@ def test_decomposition_error_exits_3(tmp_path, capsys):
     assert "IrrationalSpectrum" in err
 
 
+def test_ramification_guard_exits_3(tmp_path, capsys):
+    # [[0, 1], [t⁻¹, 0]] with t¹³ = z has top slope 1/26 in z: the
+    # reduction needs ramification 26, above the guard of 24
+    c = lambda n: {"ram": 13, "trunc": 8,
+                   "terms": [] if n is None else [[n, 1, 1, 0, 1]]}
+    spec = {"form": "matrix", "rank": 2,
+            "matrix": [[c(None), c(0)], [c(-1), c(None)]]}
+    path = tmp_path / "ram13.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("decomposition error: RamificationGuardExceeded:"), err
+
+
 @pytest.mark.parametrize("denominator", [
     999983,
     pytest.param(1000003, marks=pytest.mark.xfail(
@@ -301,13 +315,16 @@ def test_l2verify_excluded_case_exits_0(capsys):
 
 
 def test_l2verify_cos_zero_sector_exits_5(tmp_path, capsys):
-    params = {"a_ell": 1.0, "ell": 1, "sector": [1.0, 2.0],
-              "inner": [1.2, 1.8]}
-    path = tmp_path / "straddle.json"
-    path.write_text(json.dumps(params))
-    code, _, err = run(capsys, "l2verify", str(path))
-    assert code == 5
-    assert "SectorContainsCosZero" in err
+    for params in (
+            {"a_ell": 1.0, "ell": 1, "sector": [1.0, 2.0], "inner": [1.2, 1.8]},
+            # cos θ vanishes at π/2 inside the sub-sector as well
+            {"a_ell": 1.0, "ell": 1, "sector": [0.3, 2.0],
+             "sub_sector": [1.0, 1.8]}):
+        path = tmp_path / "straddle.json"
+        path.write_text(json.dumps(params))
+        code, _, err = run(capsys, "l2verify", str(path))
+        assert code == 5
+        assert "SectorContainsCosZero" in err
 
 
 def test_l2verify_overflowing_kappa_ratio_exits_5(tmp_path, capsys):

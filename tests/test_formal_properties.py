@@ -13,6 +13,8 @@ general code they replace.
   rank-4 germs gauged by a dense constant matrix (where the leading
   orders of e_k cancel) and on entries with mixed denominators.  The
   exit-3 messages that low truncations give ``analyze`` are pinned.
+- A germ whose leading coefficient is nilpotent has its top slope below
+  its pole order.
 """
 
 import itertools
@@ -209,6 +211,33 @@ def test_polygon_of_gauged_rank4_pole2(poles, slopes):
     poly = _same_polygon(germ)
     assert poly.slopes == tuple((Fraction(s), m) for s, m in slopes)
     assert poly.irregularity == sum(poles)
+
+
+@st.composite
+def nilpotent_lead_germs(draw):
+    """P⁻¹·N·P·t^{−v} with N ≠ 0 strictly lower triangular, plus lower orders.
+
+    Every entry keeps truncation d·v, so no e_k is left uncertified.
+    """
+    d, q, v = draw(st.integers(2, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    n = [[draw(gaussian) if i > j else CQ.of(0) for j in range(d)]
+         for i in range(d)]
+    n[d - 1][0] = CQ.of(draw(st.sampled_from((-2, -1, 1, 2))), draw(small))
+    p = [row[:d] for row in _P[:d]]
+    lead = exactla.mat_mul(exactla.inverse(p), exactla.mat_mul(n, p))
+    trunc = d * v
+    lower = st.dictionaries(st.integers(-v + 1, trunc), gaussian, max_size=3)
+    return v, ConnectionGerm(d, q, [[PuiseuxSeries(q, {-v: c, **draw(lower)}, trunc)
+                                     for c in row] for row in lead])
+
+
+@SETTINGS
+@given(nilpotent_lead_germs())
+def test_nilpotent_lead_puts_the_top_slope_below_the_pole_order(case):
+    # e_k has no term at t^{−kv}, e_k(N) being 0: formal_decompose shears
+    # such a germ before it reads the leading spectrum
+    v, germ = case
+    assert newton_polygon(germ).top_slope * germ.ram < v
 
 
 def test_polygon_with_mixed_denominators():

@@ -176,8 +176,11 @@ def stokes_frame():
 
 
 def test_gluing_data_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one constants table per consecutive"):
         StokesGluingData(((0.0, 3.0), (2.0, 5.0)), ({},))
+    # arcs 0 and 2 overlap on (1.2, 1.5)
+    with pytest.raises(ValueError, match="non-consecutive arcs intersect"):
+        StokesGluingData(((0, 1.5), (1, 2.5), (1.2, 3.5), (3, 6.5)), ({},) * 4)
 
 
 def test_glued_transition_is_identity_off_overlaps():

@@ -8,20 +8,25 @@ residue exponents and Jordan partitions.  Repeated residue eigenvalues
 (partitions such as (4,), (3, 1) and (2, 2)) and repeated leading
 eigenvalues are the cases where the exact spectrum needs its numeric
 candidates from the derivatives of the characteristic polynomial.
+
+The decomposed models of the round trip and of the catalog have pairwise
+distinct φ's and, under each φ, distinct α's.
 """
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from connexion_lab import exactla
+from connexion_lab import catalog, exactla
 from connexion_lab.formal import formal_decompose
 from connexion_lab.model import (ConnectionGerm, ElementaryModel,
                                  RegularBlockData, assemble_matrix,
                                  smat_from_const, smat_mul, unipotent_gauge)
-from connexion_lab.series import CQ, CQ_ZERO, PuiseuxSeries
+from connexion_lab.series import CQ, CQ_ZERO, PuiseuxSeries, ps_eq_to_trunc
 
 TRUNC = 12
 PARTITIONS = ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1), (3,), (2, 1),
@@ -112,10 +117,30 @@ def model_data(m: ElementaryModel):
         for phi, regs in m.blocks}
 
 
+def assert_distinct(m: ElementaryModel):
+    """Pairwise distinct φ's, and distinct α's under each φ.
+
+    ``ElementaryModel`` checks only the φ's; the reduction assembles its
+    model from the blocks as they come, merging nothing.
+    """
+    for (phi, _), (psi, _) in combinations(m.blocks, 2):
+        assert not ps_eq_to_trunc(phi, psi)
+    for _, regs in m.blocks:
+        assert len({r.alpha for r in regs}) == len(regs)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
 @given(round_trip_cases())
 def test_gauged_model_round_trips(case):
     model, germ = case
-    assert model_data(formal_decompose(germ)) == model_data(model)
+    got = formal_decompose(germ)
+    assert model_data(got) == model_data(model)
+    assert_distinct(got)
+
+
+@pytest.mark.parametrize("trunc", [12, 24, 48, 96])
+@pytest.mark.parametrize("name", list(catalog.CATALOG))
+def test_catalog_decompositions_are_distinct(name, trunc):
+    assert_distinct(formal_decompose(catalog.CATALOG[name].germ(trunc)))
