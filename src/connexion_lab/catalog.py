@@ -2,7 +2,8 @@
 
 Each entry carries a matrix germ, optionally the elementary normal form
 it should decompose to, optional rank-1 weight data for the L² lab, and
-optional Stokes gluing data.
+optional Stokes gluing data.  An entry with a model takes its germ from
+that model; only the Airy germ is written out.
 """
 
 from __future__ import annotations
@@ -14,20 +15,7 @@ from .errors import ParseError
 from .metric import StokesGluingData
 from .model import (ConnectionGerm, ElementaryModel, RegularBlockData,
                     assemble_matrix)
-from .series import CQ, DEFAULT_BUDGET, PuiseuxSeries
-
-
-def _mono(ram: int, n: int, re, im=0, trunc: int = DEFAULT_BUDGET) -> PuiseuxSeries:
-    return PuiseuxSeries(ram, {n: CQ.of(re, im)}, trunc)
-
-
-def _zero(ram: int = 1, trunc: int = DEFAULT_BUDGET) -> PuiseuxSeries:
-    return PuiseuxSeries(ram, {}, trunc)
-
-
-def _reg(alpha, partition) -> RegularBlockData:
-    return RegularBlockData(CQ.of(alpha) if not isinstance(alpha, CQ) else alpha,
-                            tuple(partition))
+from .series import CQ, CQ_ONE, PuiseuxSeries
 
 
 @dataclass(frozen=True)
@@ -35,47 +23,34 @@ class CatalogEntry:
     name: str
     description: str
     rank: int
-    germ: Callable[[int], ConnectionGerm]
+    germ: Optional[Callable[[int], ConnectionGerm]] = None
     model: Optional[Callable[[int], ElementaryModel]] = None
     l2: Optional[dict] = None
     gluing: Optional[Callable[[], StokesGluingData]] = None
 
-
-def _trivial_model(trunc: int) -> ElementaryModel:
-    return ElementaryModel(1, ((_zero(1, trunc), (_reg(0, (1,)),)),))
-
-
-def _kummer_model(trunc: int) -> ElementaryModel:
-    return ElementaryModel(1, ((_zero(1, trunc), (_reg((1, 2), (1,)),)),))
+    def __post_init__(self):
+        if self.germ is None:
+            model = self.model
+            object.__setattr__(self, "germ", lambda trunc: assemble_matrix(
+                model(trunc), trunc=trunc))
 
 
-def _einvz_model(trunc: int) -> ElementaryModel:
-    return ElementaryModel(1, ((_mono(1, -1, 1, trunc=trunc), (_reg(0, (1,)),)),))
-
-
-def _jordan2_model(trunc: int) -> ElementaryModel:
-    return ElementaryModel(1, ((_zero(1, trunc), (_reg(0, (2,)),)),))
-
-
-def _mixed_model(trunc: int) -> ElementaryModel:
-    return ElementaryModel(1, (
-        (_mono(1, -1, -1, trunc=trunc), (_reg((1, 2), (1,)),)),
-        (_zero(1, trunc), (_reg(0, (1,)),)),
-    ))
-
-
-def _stokes_model(trunc: int) -> ElementaryModel:
-    return ElementaryModel(1, (
-        (_mono(1, -1, -1, trunc=trunc), (_reg(0, (1,)),)),
-        (_mono(1, -1, 1, trunc=trunc), (_reg(0, (1,)),)),
-    ))
+def _model(*blocks) -> Callable[[int], ElementaryModel]:
+    """The unramified model ⊕ E^φ ⊗ R_φ at a truncation, one block per
+    literal (φ coefficients {n: c}, ((α, partition), …))."""
+    def build(trunc: int) -> ElementaryModel:
+        return ElementaryModel(1, tuple(
+            (PuiseuxSeries(1, {n: CQ.of(c) for n, c in phi.items()}, trunc),
+             tuple(RegularBlockData(CQ.of(alpha), partition)
+                   for alpha, partition in regs))
+            for phi, regs in blocks))
+    return build
 
 
 def _airy_germ(trunc: int) -> ConnectionGerm:
-    return ConnectionGerm.from_matrix([
-        [_zero(1, trunc), _mono(1, 0, 1, trunc=trunc)],
-        [_mono(1, -1, 1, trunc=trunc), _zero(1, trunc)],
-    ])
+    zero, one, inv_z = (PuiseuxSeries(1, terms, trunc)
+                        for terms in ({}, {0: CQ_ONE}, {-1: CQ_ONE}))
+    return ConnectionGerm.from_matrix([[zero, one], [inv_z, zero]])
 
 
 def _stokes_gluing() -> StokesGluingData:
@@ -89,21 +64,12 @@ def _stokes_gluing() -> StokesGluingData:
     )
 
 
-def _from_model(build: Callable[[int], ElementaryModel]):
-    def germ(trunc: int) -> ConnectionGerm:
-        return assemble_matrix(build(trunc), trunc=trunc)
-    return germ
-
-
-CATALOG: dict[str, CatalogEntry] = {}
-
-for _entry in (
+CATALOG: dict[str, CatalogEntry] = {entry.name: entry for entry in (
     CatalogEntry(
         name="trivial",
         description="rank-1 trivial connection (regular, alpha = 0)",
         rank=1,
-        germ=_from_model(_trivial_model),
-        model=_trivial_model,
+        model=_model(({}, [(0, (1,))])),
         l2={"beta": 0.0, "kappa": 0, "a_ell": 0.0, "ell": 1,
             "sector": (0.2, 2.1), "inner": (0.6, 1.7)},
     ),
@@ -111,8 +77,7 @@ for _entry in (
         name="kummer-half",
         description="rank-1 regular germ with residue exponent alpha = 1/2",
         rank=1,
-        germ=_from_model(_kummer_model),
-        model=_kummer_model,
+        model=_model(({}, [((1, 2), (1,))])),
         l2={"beta": 0.5, "kappa": 0, "a_ell": 0.0, "ell": 1,
             "sector": (0.2, 2.1), "inner": (0.6, 1.7)},
     ),
@@ -120,8 +85,7 @@ for _entry in (
         name="e-inverse-z",
         description="rank-1 irregular germ E^{1/z} (slope 1)",
         rank=1,
-        germ=_from_model(_einvz_model),
-        model=_einvz_model,
+        model=_model(({-1: 1}, [(0, (1,))])),
         l2={"beta": 0.0, "kappa": 0, "a_ell": 1.0, "ell": 1,
             "sector": (0.3, 1.2), "inner": (0.5, 1.0)},
     ),
@@ -129,8 +93,7 @@ for _entry in (
         name="jordan2-regular",
         description="rank-2 regular germ with a single 2x2 Jordan block",
         rank=2,
-        germ=_from_model(_jordan2_model),
-        model=_jordan2_model,
+        model=_model(({}, [(0, (2,))])),
     ),
     CatalogEntry(
         name="airy",
@@ -142,8 +105,7 @@ for _entry in (
         name="mixed-reg-irr",
         description="rank-2 direct sum of a slope-1 line and a regular line",
         rank=2,
-        germ=_from_model(_mixed_model),
-        model=_mixed_model,
+        model=_model(({-1: -1}, [((1, 2), (1,))]), ({}, [(0, (1,))])),
         l2={"beta": 0.0, "kappa": 1, "a_ell": -1.0, "ell": 1,
             "sector": (2.0, 2.9), "inner": (2.25, 2.65)},
     ),
@@ -151,12 +113,10 @@ for _entry in (
         name="rank2-stokes",
         description="rank-2 model with phi = +1/z and -1/z plus gluing data",
         rank=2,
-        germ=_from_model(_stokes_model),
-        model=_stokes_model,
+        model=_model(({-1: -1}, [(0, (1,))]), ({-1: 1}, [(0, (1,))])),
         gluing=_stokes_gluing,
     ),
-):
-    CATALOG[_entry.name] = _entry
+)}
 
 
 def names() -> list[str]:

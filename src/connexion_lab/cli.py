@@ -85,7 +85,8 @@ def _load_target(target: str, trunc: int):
 
 
 def _digest(target: str) -> str:
-    if os.path.exists(target):
+    """Hash of what ``_read_target`` reads: a catalog name before a file."""
+    if target not in catalog.CATALOG and os.path.exists(target):
         with open(target, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()[:16]
     return hashlib.sha256(target.encode()).hexdigest()[:16]
@@ -149,12 +150,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _pair(val) -> tuple:
+def _number(key: str, val):
+    """A number (not a bool or a string) from an l2 parameter file, or ParseError."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ParseError(f"{key} must be a number, got {val!r}")
+    return val
+
+
+def _pair(key: str, val) -> tuple:
     """Two numbers from an l2 parameter file, or ParseError."""
-    if not (isinstance(val, (list, tuple)) and len(val) == 2
-            and all(isinstance(x, (int, float)) for x in val)):
-        raise ParseError(f"expected a pair of numbers, got {val!r}")
-    return tuple(val)
+    if not (isinstance(val, (list, tuple)) and len(val) == 2):
+        raise ParseError(f"{key} must be a pair of numbers, got {val!r}")
+    return tuple(_number(f"{key} entry", x) for x in val)
 
 
 def _l2_data(target: str):
@@ -164,27 +171,28 @@ def _l2_data(target: str):
         if not entry.l2:
             raise ParseError(f"catalog entry {target!r} has no rank-1 weight data")
         params = entry.l2
-    sector = _pair(params.get("sector", (0.0, 2.0 * math.pi)))
+    sector = _pair("sector", params.get("sector", (0.0, 2.0 * math.pi)))
     if not sector[0] < sector[1]:
         raise ParseError(f"sector {list(sector)} must have increasing ends")
-    inner = _pair(params.get("inner",
-                             (sector[0] + 0.25 * (sector[1] - sector[0]),
-                              sector[1] - 0.25 * (sector[1] - sector[0]))))
+    inner = _pair("inner", params.get(
+        "inner", (sector[0] + 0.25 * (sector[1] - sector[0]),
+                  sector[1] - 0.25 * (sector[1] - sector[0]))))
     sub_sector = params.get("sub_sector")
     if sub_sector is not None:
-        sub_sector = _pair(sub_sector)
+        sub_sector = _pair("sub_sector", sub_sector)
     for key, sub in (("inner", inner), ("sub_sector", sub_sector)):
         if sub is not None and not sector[0] <= sub[0] < sub[1] <= sector[1]:
             raise ParseError(f"{key} {list(sub)} must have increasing ends "
                              f"inside sector {list(sector)}")
     a_ell = params.get("a_ell", 0.0)
-    if isinstance(a_ell, (list, tuple)):
-        a_ell = complex(*_pair(a_ell))
+    a_ell = (complex(*_pair("a_ell", a_ell)) if isinstance(a_ell, (list, tuple))
+             else _number("a_ell", a_ell))
     try:
         d = WeightedLineData.create(
-            beta=params.get("beta", 0.0), kappa=params.get("kappa", 0),
-            ell=params.get("ell", 1), a_ell=a_ell,
-            sector=sector, r1=params.get("r1", 0.5))
+            beta=_number("beta", params.get("beta", 0.0)),
+            kappa=params.get("kappa", 0), ell=params.get("ell", 1),
+            a_ell=a_ell, sector=sector,
+            r1=_number("r1", params.get("r1", 0.5)))
     except (TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ParseError(f"bad l2 parameters: {exc}") from exc
     return d, sector, inner, sub_sector

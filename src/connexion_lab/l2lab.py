@@ -10,15 +10,14 @@ log space.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (DomainError, NonconvergentQuadrature, NotMonotone,
-                     SectorContainsCosZero, UnboundedRatio)
-from .series import PuiseuxSeries, ps_derive, ps_eval
+                     ParseError, SectorContainsCosZero, UnboundedRatio)
+from .series import PuiseuxSeries, _as_int, ps_derive, ps_eval
 from .sl2 import _read_only
 
 R_MIN = 1e-6
@@ -74,10 +73,10 @@ class WeightedLineData:
             raise DomainError("β, a_ℓ and r1 must be finite")
         if not 0 < r1 < 1:
             raise DomainError("need 0 < r1 < 1")
-        for name, n in (("κ", kappa), ("ℓ", ell)):
-            if isinstance(n, bool) or not (isinstance(n, numbers.Integral) or
-                                           isinstance(n, float) and n.is_integer()):
-                raise DomainError(f"{name} must be an integer, got {n!r}")
+        try:
+            kappa, ell = _as_int(kappa, "κ"), _as_int(ell, "ℓ")
+        except ParseError as exc:
+            raise DomainError(str(exc)) from None
         if tail is not None and not tail.is_zero:
             if tail.ram != 1 or any(n < 0 for n in tail.terms):
                 raise DomainError("tail must be holomorphic and unramified")
@@ -86,7 +85,7 @@ class WeightedLineData:
         elif ell < 1:
             raise DomainError(f"need ℓ >= 1 when a_ℓ ≠ 0, got ℓ = {ell}")
         tau = solve_tau(a_ell, ell)
-        d = cls(beta, int(kappa), int(ell), a_ell, tail, tau,
+        d = cls(beta, kappa, ell, a_ell, tail, tau,
                 (float(sector[0]), float(sector[1])), float(r1))
         d._verify_tau()
         return d

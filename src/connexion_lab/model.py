@@ -18,10 +18,10 @@ import numpy as np
 
 from . import exactla
 from .errors import IrrationalRootOfUnity, ParseError
-from .series import (CQ, CQ_ZERO, CQ_ONE, PuiseuxSeries, _as_fraction, common_ram,
-                     ps_add, ps_derive, ps_eq_to_trunc, ps_from_literal, ps_mul,
-                     ps_neg, ps_ramify, ps_scale, ps_sub, ps_to_literal,
-                     quarter_root)
+from .series import (CQ, CQ_ZERO, CQ_ONE, PuiseuxSeries, _as_fraction,
+                     _as_int, common_ram, ps_add, ps_derive, ps_eq_to_trunc,
+                     ps_from_literal, ps_mul, ps_neg, ps_ramify, ps_scale,
+                     ps_sub, ps_to_literal, quarter_root)
 
 SMatrix = list[list[PuiseuxSeries]]
 
@@ -233,8 +233,10 @@ class RegularBlockData:
         """T = e^{−2πiα}·T_u with T_u unipotent from the partition."""
         from .sl2 import _nilpotent_exp
 
-        n = np.array([[float(x.re) for x in row]
-                      for row in jordan_nilpotent(self.partition)])
+        n, pos = np.zeros((self.rank, self.rank)), 0
+        for p in self.partition:  # ones just below the diagonal of each block
+            n[range(pos + 1, pos + p), range(pos, pos + p - 1)] = 1.0
+            pos += p
         lam = cmath.exp(-2j * cmath.pi * self.alpha.to_complex())
         return lam * _nilpotent_exp(n, 2j * np.pi)
 
@@ -278,18 +280,6 @@ class ElementaryModel:
         """Pole order of each φ in z-units (0 for φ = 0)."""
         return [Fraction(0) if phi.valuation() is None
                 else Fraction(-phi.valuation(), phi.ram) for phi, _ in self.blocks]
-
-
-def jordan_nilpotent(partition) -> list[list[CQ]]:
-    """Lower-triangular Jordan Y: ones on the subdiagonal per block."""
-    d = sum(partition)
-    y = [[CQ_ZERO] * d for _ in range(d)]
-    pos = 0
-    for p in partition:
-        for j in range(p - 1):
-            y[pos + j + 1][pos + j] = CQ_ONE
-        pos += p
-    return y
 
 
 # -- operations -----------------------------------------------------------
@@ -434,7 +424,7 @@ def germ_or_model_from_dict(doc):
         raise ParseError("connection spec needs a 'form' field") from exc
     if form == "matrix":
         try:
-            rank = int(doc["rank"])
+            rank = _as_int(doc["rank"], "rank")
             matrix = [[ps_from_literal(lit) for lit in row]
                       for row in doc["matrix"]]
         except (KeyError, TypeError, ValueError) as exc:
@@ -446,13 +436,14 @@ def germ_or_model_from_dict(doc):
         return ConnectionGerm.from_matrix(matrix)
     if form == "elementary":
         try:
-            ram = int(doc.get("ram", 1))
+            ram = _as_int(doc.get("ram", 1), "ram")
             blocks = []
             for blk in doc["blocks"]:
                 phi = ps_from_literal(blk["phi"])
                 regs = tuple(
                     RegularBlockData(_alpha_from_spec(r["alpha"]),
-                                     tuple(int(p) for p in r["partition"]))
+                                     tuple(_as_int(p, "partition entry")
+                                           for p in r["partition"]))
                     for r in blk["regs"])
                 blocks.append((phi, regs))
         except ParseError:

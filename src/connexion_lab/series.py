@@ -10,6 +10,7 @@ assumed zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,18 +20,23 @@ import numpy as np
 
 from .errors import ParseError, ZeroLeadingTerm
 
-#: default number of trusted terms past the valuation for literals
-DEFAULT_BUDGET = 24
+
+def _as_int(x, name: str) -> int:
+    """An int or an integral float, as int; anything else is a ParseError."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Integral) or
+                                   isinstance(x, float) and x.is_integer()):
+        raise ParseError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     try:
-        if isinstance(x, (int, str)):
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
             return Fraction(x)
         if isinstance(x, (list, tuple)) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
+            return Fraction(*(_as_int(n, "fraction entry") for n in x))
     except ZeroDivisionError as exc:
         raise ParseError(f"zero denominator in {x!r}") from exc
     raise ParseError(f"cannot interpret {x!r} as an exact rational")
@@ -305,13 +311,12 @@ def ps_to_literal(a: PuiseuxSeries) -> dict:
 
 def ps_from_literal(lit) -> PuiseuxSeries:
     try:
-        ram = int(lit["ram"])
-        trunc = int(lit["trunc"])
+        ram = _as_int(lit["ram"], "ram")
+        trunc = _as_int(lit["trunc"], "trunc")
         terms = {}
         for entry in lit["terms"]:
-            n, rn, rd, imn, imd = entry
-            terms[int(n)] = CQ(Fraction(int(rn), int(rd)),
-                               Fraction(int(imn), int(imd)))
+            n, rn, rd, imn, imd = (_as_int(x, "term entry") for x in entry)
+            terms[n] = CQ(Fraction(rn, rd), Fraction(imn, imd))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad series literal: {exc}") from exc
     return PuiseuxSeries(ram, terms, trunc)

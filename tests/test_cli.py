@@ -1,5 +1,6 @@
 """CLI behavior: commands, exit codes, report determinism."""
 
+import hashlib
 import json
 import warnings
 
@@ -87,6 +88,47 @@ def test_unknown_name_exits_2_with_suggestion(capsys):
     assert "unknown catalog entry" in err
 
 
+def matrix_spec(rank=1, ram=1, trunc=8, term=(-1, 1, 1, 0, 1)):
+    """A rank-1 matrix spec holding one term of t^n (n the term's first entry)."""
+    return {"form": "matrix", "rank": rank,
+            "matrix": [[{"ram": ram, "trunc": trunc, "terms": [list(term)]}]]}
+
+
+def model_spec(ram=1, alpha=((1, 2), (0, 1)), partition=(1,)):
+    """A one-block elementary spec with φ = t⁻¹."""
+    return {"form": "elementary", "ram": ram, "blocks": [
+        {"phi": {"ram": 1, "trunc": 8, "terms": [[-1, 1, 1, 0, 1]]},
+         "regs": [{"alpha": alpha, "partition": partition}]}]}
+
+
+def airy_spec(rank):
+    """[[0, 1], [t⁻¹, 0]] as a matrix spec that declares ``rank``."""
+    def entry(*terms):
+        return {"ram": 1, "trunc": 8, "terms": [list(t) for t in terms]}
+    return {"form": "matrix", "rank": rank, "matrix": [
+        [entry(), entry((0, 1, 1, 0, 1))], [entry((-1, 1, 1, 0, 1)), entry()]]}
+
+
+#: specs whose integer fields hold a non-integral float, a bool or a string,
+#: or whose α is a bool; each runs with the field an int
+NOT_INTEGERS = [
+    {"form": "matrix", "rank": 1.9,
+     "matrix": [[{"ram": 1.7, "trunc": 8.9, "terms": [[-1.5, 1, 1, 0, 1]]}]]},
+    *(matrix_spec(**{key: bad}) for key in ("rank", "ram", "trunc")
+      for bad in (True, "1")),
+    matrix_spec(term=(-1, True, 1, 0, 1)),
+    matrix_spec(term=("-1", 1, 1, 0, 1)),
+    model_spec(ram=True),
+    model_spec(ram="1"),
+    model_spec(partition=[1.9]),
+    model_spec(partition=[True]),
+    model_spec(partition=["1"]),
+    model_spec(alpha=[[1.5, 2], [0, 1]]),
+    model_spec(alpha=[[True, 2], [0, 1]]),
+    model_spec(alpha=False),
+]
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -96,12 +138,32 @@ def test_malformed_file_exits_2(tmp_path, capsys):
             {"form": "matrix", "rank": 2, "matrix": []},
             {"form": "matrix", "rank": 0, "matrix": []},
             {"form": "elementary", "blocks": []},
-            [{"form": "matrix", "rank": 0, "matrix": []}]]):
+            [{"form": "matrix", "rank": 0, "matrix": []}], *NOT_INTEGERS]):
         bad2 = tmp_path / f"bad2-{i}.json"
         bad2.write_text(json.dumps(spec))
         code, _, err = run(capsys, "analyze", str(bad2))
         assert code == 2, spec
         assert err.startswith("error:"), err
+
+
+def _analyze_without_input(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0, err
+    doc = json.loads(out)
+    del doc["input"]
+    return doc
+
+
+@pytest.mark.parametrize("spec,floats", [
+    (matrix_spec(), matrix_spec(1.0, 1.0, 8.0, (-1.0, 1.0, 1.0, 0.0, 1.0))),
+    (model_spec(), model_spec(1.0, [[1.0, 2.0], [0.0, 1.0]], [1.0])),
+    (airy_spec(2), airy_spec(2.0))])
+def test_integral_float_spec_fields_run_as_integers(tmp_path, capsys, spec,
+                                                     floats):
+    assert (_analyze_without_input(tmp_path, capsys, spec)
+            == _analyze_without_input(tmp_path, capsys, floats))
 
 
 def test_zero_denominator_in_series_term_exits_2(tmp_path, capsys):
@@ -374,6 +436,10 @@ def test_l2verify_overflowing_kappa_ratio_exits_5(tmp_path, capsys):
     {"kappa": 1.5},
     {"kappa": True},
     {"kappa": "2"},
+    {"beta": True},
+    {"beta": "0.5"},
+    {"a_ell": True},
+    {"sector": [True, 2]},
 ])
 def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
     path = tmp_path / "params.json"
@@ -429,6 +495,17 @@ def test_flags_a_command_does_not_read_exit_2(capsys, argv):
 def test_l2verify_entry_without_data_exits_2(capsys):
     code, _, err = run(capsys, "l2verify", "airy")
     assert code == 2
+
+
+def test_digest_hashes_the_catalog_name_a_file_of_that_name_shadows(
+        tmp_path, capsys, monkeypatch):
+    # the catalog name is read before a file with the same name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "airy").write_text("not a spec")
+    code, out, err = run(capsys, "analyze", "airy")
+    assert code == 0, err
+    assert json.loads(out)["input"]["digest"] == hashlib.sha256(
+        b"airy").hexdigest()[:16] == "41164471862a0062"
 
 
 def test_reports_are_byte_deterministic(capsys):

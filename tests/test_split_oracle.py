@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from connexion_lab import catalog, exactla, formal
 from connexion_lab.errors import ConnexionLabError, InsufficientTruncation
 from connexion_lab.formal import _cols, _const_gauge, split_by_spectrum
-from connexion_lab.model import (ConnectionGerm, smat_coeff, smat_min_trunc,
-                                 smat_min_val, unipotent_gauge)
-from connexion_lab.series import CQ, CQ_ZERO, PuiseuxSeries
+from connexion_lab.model import (ConnectionGerm, ElementaryModel,
+                                 RegularBlockData, assemble_matrix, smat_coeff,
+                                 smat_min_trunc, smat_min_val, unipotent_gauge)
+from connexion_lab.series import CQ, CQ_ONE, CQ_ZERO, PuiseuxSeries
 
 
 def solve(m, rhs):
@@ -255,3 +256,44 @@ def test_lazy_split_matches_oracle_to_its_watermark(germ, top):
 @pytest.mark.parametrize("top", [-1, 0, 1, 3])
 def test_lazy_split_v3_matches_oracle_to_its_watermark(top):
     _check_lazy(_v3_germ(16), top)
+
+
+def _restart_blocks(v):
+    """φ = +t⁻ᵛ with α = 0 in one Jordan block of 3, φ = −t⁻ᵛ with α = 1/2."""
+    return ({-v: 1}, [(0, (3,))]), ({-v: -1}, [((1, 2), (1,))])
+
+
+def _restart_model(blocks, trunc):
+    """The unramified model with one (φ terms, ((α, partition), …)) per block."""
+    return ElementaryModel(1, tuple(
+        (PuiseuxSeries(1, {n: CQ.of(c) for n, c in phi.items()}, trunc),
+         tuple(RegularBlockData(CQ.of(alpha), p) for alpha, p in regs))
+        for phi, regs in blocks))
+
+
+def _blocks(model):
+    return {tuple(phi.terms.items()): regs for phi, regs in model.blocks}
+
+
+@pytest.mark.parametrize("blocks,trunc,need", [
+    (_restart_blocks(2), 12, 3), (_restart_blocks(2), 24, 3),
+    (_restart_blocks(3), 16, 5), (_restart_blocks(3), 48, 5),
+    # φ = t⁻² ± t⁻¹ part at the second split, which reads above the watermark
+    ((({-2: 1, -1: 1}, [(0, (2,))]), ({-2: 1, -1: -1}, [(0, (1,))]),
+      ({-2: -1}, [((1, 2), (1,))])), 24, 3)])
+def test_decompose_restarts_above_the_first_watermark(blocks, trunc, need):
+    # a rank-3 part reads order `need` while the first watermark is 2, so
+    # formal_decompose must double it and start again
+    model = _restart_model(blocks, trunc)
+    x = exactla.zeros(4, 4)
+    x[3][0] = x[3][2] = CQ_ONE  # X² = 0
+    a = unipotent_gauge(assemble_matrix(model, trunc=trunc).matrix, x, 1, trunc)
+    p = exactla.eye(4)
+    for i in range(3):
+        p[i][i + 1] = CQ_ONE
+    g = ConnectionGerm(4, 1, _const_gauge(a, p))
+    with pytest.raises(formal.NeedOrder) as need_order:
+        formal._decompose(g, formal.FIRST_WATERMARK)
+    assert need_order.value.args == (need,)
+    assert _blocks(formal.formal_decompose(g)) == _blocks(model)
+    _assert_same_as_eager(g)
