@@ -10,6 +10,7 @@ Laurent windows of up to about 80 × 80 whose entries are mostly zero, so
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -175,25 +176,37 @@ def gaussian_roots(coeffs: list[CQ]) -> list[tuple[CQ, int]]:
     A root of multiplicity m of p would scatter numerically by about
     eps^(1/m) and defeat the rationalization, but it is a simple root of
     p^(m−1).  So the numeric candidates come from p first, then from p′,
-    p″, … while some root is still unfound.  Acceptance and multiplicity
-    are exact (substitution into the full polynomial plus exact deflation).
+    p″, … while some root is still unfound.  Each numeric root z gives two
+    candidates: z rationalized with denominators up to 10⁶, and D·z rounded
+    to Z[i] over D, for D the lcm of the denominators of the monic
+    derivative being solved.  D·r ∈ Z[i] for each of its roots r in Q(i),
+    since Z[i] is integrally closed; the second candidate is formed only
+    while D < 2**53, below which a float can pin D·z.  Acceptance and
+    multiplicity are exact (substitution into the full polynomial plus
+    exact deflation).
     """
-    work = _trim(coeffs)
+    work = exact = _trim(coeffs)
     found: list[tuple[CQ, int]] = []
     deriv = np.array([c.to_complex() for c in reversed(work)])
     while len(work) > 1 and len(deriv) > 1:
+        den = lcm(*((c / exact[-1]).d for c in exact))
         for z in np.roots(deriv):
-            cand = CQ(Fraction(z.real).limit_denominator(10 ** 6),
-                      Fraction(z.imag).limit_denominator(10 ** 6))
-            if any(cand == r for r, _ in found):
-                continue
-            mult = 0
-            while len(work) > 1 and poly_eval(work, cand).is_zero:
-                work = poly_deflate(work, cand)
-                mult += 1
-            if mult:
-                found.append((cand, mult))
+            cands = [CQ(Fraction(z.real).limit_denominator(10 ** 6),
+                        Fraction(z.imag).limit_denominator(10 ** 6))]
+            if den < 2 ** 53:
+                cands.append(CQ(Fraction(round(den * z.real), den),
+                                Fraction(round(den * z.imag), den)))
+            for cand in cands:
+                if any(cand == r for r, _ in found):
+                    continue
+                mult = 0
+                while len(work) > 1 and poly_eval(work, cand).is_zero:
+                    work = poly_deflate(work, cand)
+                    mult += 1
+                if mult:
+                    found.append((cand, mult))
         deriv = np.polyder(deriv)
+        exact = [c.scale(k) for k, c in enumerate(exact)][1:]
     if len(work) > 1:
         raise IrrationalSpectrum(
             "spectrum leaves the Gaussian rationals "

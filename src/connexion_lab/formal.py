@@ -98,10 +98,8 @@ def newton_polygon(germ: ConnectionGerm) -> NewtonPolygon:
     _need(germ, max(-1, (d - 1) * p - 1))
     read = [[[(n, c) for n, c in s.terms.items() if n < (d - 1) * p]
              for s in row] for row in mat]
-    den = lcm(1, *(x.denominator for row in read for ts in row
-                   for _, c in ts for x in (c.re, c.im)))
-    ints = [[[(n, c.re.numerator * (den // c.re.denominator),
-               c.im.numerator * (den // c.im.denominator)) for n, c in ts]
+    den = lcm(1, *(c.d for row in read for ts in row for _, c in ts))
+    ints = [[[(n, c.a * (den // c.d), c.b * (den // c.d)) for n, c in ts]
              for ts in row] for row in read]
     pts: list[tuple[int, Fraction]] = [(d, Fraction(0))]
     for k in range(1, d + 1):

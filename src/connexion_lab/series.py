@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
@@ -42,56 +41,99 @@ def _as_fraction(x) -> Fraction:
     raise ParseError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
 class CQ:
-    """Gaussian rational: exact complex number re + im*i."""
+    """Gaussian rational (a + b·i)/d, d > 0 and gcd(a, b, d) = 1: equal numbers
+    have equal triples.  ``re`` and ``im`` read the parts as Fractions."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("a", "b", "d")
+
+    def __new__(cls, re, im):
+        if not all(isinstance(x, (int, Fraction)) for x in (re, im)):
+            raise TypeError(f"CQ parts must be ints or Fractions: {re!r}, {im!r}")
+        d = lcm(re.denominator, im.denominator)
+        return _new(re.numerator * (d // re.denominator),
+                    im.numerator * (d // im.denominator), d)
 
     @staticmethod
     def of(re, im=0) -> "CQ":
         return CQ(_as_fraction(re), _as_fraction(im))
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def __setattr__(self, *_):
+        raise AttributeError("CQ is immutable")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return CQ, (self.re, self.im)
+
+    def __eq__(self, other):
+        if other.__class__ is not CQ:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
     def __add__(self, other: "CQ") -> "CQ":
-        return CQ(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _new(self.a + other.a, self.b + other.b, d)
+        return _new(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "CQ") -> "CQ":
-        return CQ(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "CQ":
-        return CQ(-self.re, -self.im)
+        return _new(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "CQ") -> "CQ":
-        return CQ(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, x, y = self.a, self.b, other.a, other.b
+        return _new(a * x - b * y, a * y + b * x, self.d * other.d)
 
     def __truediv__(self, other: "CQ") -> "CQ":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        a, b, x, y = self.a, self.b, other.a, other.b
+        n = x * x + y * y
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return CQ(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _new((a * x + b * y) * other.d, (b * x - a * y) * other.d,
+                    self.d * n)
 
     def scale(self, r: Fraction) -> "CQ":
-        return CQ(self.re * r, self.im * r)
+        return _new(self.a * r.numerator, self.b * r.numerator,
+                    self.d * r.denominator)
 
     def conj(self) -> "CQ":
-        return CQ(self.re, -self.im)
+        return _new(self.a, -self.b, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
 
     def __repr__(self):
         return f"CQ({self.re}, {self.im})"
+
+
+_set_a, _set_b, _set_d = CQ.a.__set__, CQ.b.__set__, CQ.d.__set__
+
+
+def _new(a: int, b: int, d: int) -> CQ:
+    """(a + b·i)/d for d > 0, in lowest terms."""
+    g = gcd(a, b, d)
+    z = object.__new__(CQ)
+    _set_a(z, a // g)
+    _set_b(z, b // g)
+    _set_d(z, d // g)
+    return z
 
 
 CQ_ZERO = CQ(Fraction(0), Fraction(0))
@@ -287,7 +329,7 @@ def ps_eval(a: PuiseuxSeries, log_z):
                 den = np.where(big, x + y * rat, x * rat + y)
                 x, y = (np.where(big, 1.0, rat + 0.0) / den,
                         np.where(big, 0.0 - rat, -1.0) / den)
-        cr, ci = float(c.re), float(c.im)
+        cr, ci = c.a / c.d, c.b / c.d
         re, im = re + (cr * x - ci * y), im + (cr * y + ci * x)
     out = np.empty(lz.shape, dtype=complex)
     out.real, out.imag = re, im

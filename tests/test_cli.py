@@ -263,16 +263,13 @@ def test_ramification_guard_exits_3(tmp_path, capsys):
     assert err.startswith("decomposition error: RamificationGuardExceeded:"), err
 
 
-@pytest.mark.parametrize("denominator", [
-    999983,
-    pytest.param(1000003, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="gaussian_roots rationalizes its numeric candidates with "
-               "denominators up to 10**6: IrrationalSpectrum, exit 3")),
-])
-def test_residue_exponent_with_a_large_denominator(tmp_path, capsys,
-                                                   denominator):
-    alpha = [[1, denominator], [0, 1]]
+@pytest.mark.parametrize("alpha", [
+    [[1, 999983], [0, 1]],
+    [[1, 1000003], [0, 1]],
+    [[1, 10 ** 9 + 7], [0, 1]],
+    [[1, 1000003], [1, 999983]],
+], ids=["999983", "1000003", "1000000007", "1000003+i999983"])
+def test_residue_exponent_with_a_large_denominator(tmp_path, capsys, alpha):
     spec = {"form": "elementary", "blocks": [
         {"phi": {"ram": 1, "trunc": 8, "terms": []},
          "regs": [{"alpha": alpha, "partition": [2]}]}]}
@@ -447,6 +444,30 @@ def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
     code, out, err = run(capsys, "l2verify", str(path), "--grid", "coarse")
     assert code == 2
     assert out == "" and err.startswith("error:"), err
+
+
+L2_KEYS = ("beta", "kappa", "ell", "a_ell", "sector", "inner", "sub_sector",
+           "r1", "junk")
+l2_scalars = (st.integers(-3, 130) | st.floats() | st.booleans() | st.none()
+              | st.text(max_size=3))
+l2_values = l2_scalars | st.lists(l2_scalars, max_size=3)
+
+
+# derandomized: the same 60 parameter files on every run
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(st.dictionaries(st.sampled_from(L2_KEYS), l2_values))
+def test_l2verify_parameter_files_exit_0_2_or_5(tmp_path, capsys, params):
+    # a parameter file is verified, refused as malformed or refused by a
+    # bound, never a traceback
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run(capsys, "l2verify", str(path), "--grid", "coarse",
+                         "--trials", "1")
+    assert code in (0, 2, 5), err
+    if code == 2:
+        assert out == "" and err.startswith("error:"), err
 
 
 def test_l2verify_integral_floats_run_as_integers(tmp_path, capsys):

@@ -1,14 +1,19 @@
 """Exact arithmetic of truncated Puiseux series over the Gaussian rationals."""
 
 import cmath
+import copy
 import math
+import operator
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connexion_lab.errors import ParseError, ZeroLeadingTerm
-from connexion_lab.series import (CQ, CQ_I, CQ_ONE, PuiseuxSeries,
+from connexion_lab.series import (CQ, CQ_I, CQ_ONE, CQ_ZERO, PuiseuxSeries,
                                   common_ram, ps_add, ps_derive, ps_eq_to_trunc,
                                   ps_eval, ps_from_literal, ps_mul, ps_neg,
                                   ps_ramify, ps_scale, ps_sub,
@@ -38,6 +43,70 @@ def test_cq_field_ops():
     assert (a / b) * b == a
     assert a * a.conj() == CQ.of(Fraction(3, 4) ** 2 + Fraction(1, 2) ** 2)
     assert CQ_I * CQ_I == -CQ_ONE
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+# the Fraction-pair formulas: each CQ operation against (re, im) pairs
+REFERENCE_OPS = {
+    "add": (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "sub": (operator.sub, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "mul": (operator.mul, lambda x, y: (x[0] * y[0] - x[1] * y[1],
+                                        x[0] * y[1] + x[1] * y[0])),
+    "div": (operator.truediv, _ref_div),
+    "neg": (lambda u, v: -u, lambda x, y: (-x[0], -x[1])),
+    "conj": (lambda u, v: u.conj(), lambda x, y: (x[0], -x[1])),
+    "scale": (lambda u, v: u.scale(v.re), lambda x, y: (x[0] * y[0], x[1] * y[0])),
+}
+
+parts = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                  st.fractions(max_denominator=10 ** 12),
+                  st.fractions(-3, 3, max_denominator=12))
+
+
+def _check_cq(z, re, im):
+    assert (type(z.re), type(z.im)) == (Fraction, Fraction)
+    assert (z.re, z.im) == (re, im)
+    assert repr(z) == f"CQ({Fraction(re)}, {Fraction(im)})"
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert z == CQ(re, im) and hash(z) == hash((Fraction(re), Fraction(im)))
+    assert z.is_zero == (re == 0 and im == 0)
+    assert z.to_complex() == complex(Fraction(re)) + 1j * complex(Fraction(im))
+    for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+        assert type(twin) is CQ and (twin.a, twin.b, twin.d) == (z.a, z.b, z.d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts, parts, parts, parts, st.sampled_from(sorted(REFERENCE_OPS)))
+def test_cq_matches_the_fraction_pair_reference(xr, xi, yr, yi, name):
+    op, ref = REFERENCE_OPS[name]
+    x, y = CQ(xr, xi), CQ(yr, yi)
+    _check_cq(x, xr, xi)
+    if name == "div" and y.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    _check_cq(op(x, y), *ref((Fraction(xr), Fraction(xi)),
+                             (Fraction(yr), Fraction(yi))))
+
+
+def test_cq_refuses_floats_zero_division_and_assignment():
+    with pytest.raises(TypeError):
+        CQ(0.5, 0)
+    with pytest.raises(TypeError):
+        CQ(Fraction(1), 0.0)
+    with pytest.raises(ZeroDivisionError):
+        CQ_ONE / CQ_ZERO
+    z = CQ.of((1, 2), 3)
+    for field in ("a", "re", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, field, 1)
+    with pytest.raises(AttributeError):
+        del z.d
+    assert (z.a, z.b, z.d) == (1, 6, 2)
 
 
 def test_quarter_roots_cycle():
