@@ -1,8 +1,8 @@
 """connexion-lab: exact local connection germs, model metrics, L² lab."""
 
 from .errors import ConnexionLabError, ParseError
-from .formal import (decomposition_report, formal_decompose, irregularity,
-                     newton_polygon, residue_normal_form)
+from .formal import (formal_decompose, irregularity, newton_polygon,
+                     residue_normal_form)
 from .model import (ConnectionGerm, ElementaryModel, RegularBlockData,
                     assemble_matrix, descends_to_base, germ_or_model_from_dict,
                     model_to_dict, ramified_pullback, sigma_pullback,
@@ -19,7 +19,7 @@ __all__ = [
     "sigma_pullback", "descends_to_base",
     "germ_or_model_from_dict", "model_to_dict",
     "newton_polygon", "irregularity", "residue_normal_form",
-    "formal_decompose", "decomposition_report",
+    "formal_decompose",
     "Sl2Triple", "jm_triple", "triple_for_partition", "adapted_metric_frame",
     "ConnexionLabError", "ParseError",
     "__version__",

@@ -45,8 +45,6 @@ def _write(text: str, out_path: str | None) -> None:
 
 def write_csv(path: str, rows: list[dict]) -> None:
     """Rows of one report table as CSV, the columns in the first row's order."""
-    if not rows:
-        return
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -58,38 +56,33 @@ def _config_echo(args, **flags) -> dict:
 
 
 def _read_target(target: str):
-    """(entry, None) for a catalog name, (None, JSON object) for a file."""
-    if target in catalog.CATALOG:
-        return catalog.CATALOG[target], None
-    if not os.path.exists(target):
-        catalog.get_entry(target)  # raises ParseError with a suggestion
-    try:
-        with open(target) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read {target}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{target} does not hold a JSON object")
-    return None, doc
+    """(entry, None, digest) for a catalog name, which comes before a file
+    of that name, and (None, JSON object, digest) for a file; the digest
+    hashes the name or the bytes that were parsed."""
+    if target in catalog.CATALOG or not os.path.exists(target):
+        # an unknown name raises ParseError with a suggestion
+        entry, doc, raw = catalog.get_entry(target), None, target.encode()
+    else:
+        try:
+            with open(target, "rb") as fh:
+                raw = fh.read()
+            entry, doc = None, json.loads(raw.decode())  # strict UTF-8
+        except (OSError, ValueError) as exc:
+            raise ParseError(f"cannot read {target}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError(f"{target} does not hold a JSON object")
+    return entry, doc, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def _load_target(target: str, trunc: int):
-    """(entry_or_None, germ) from a catalog name or a JSON spec file."""
-    entry, doc = _read_target(target)
+    """(entry_or_None, germ, digest) from a catalog name or a JSON spec file."""
+    entry, doc, digest = _read_target(target)
     if entry is not None:
-        return entry, entry.germ(trunc)
+        return entry, entry.germ(trunc), digest
     obj = germ_or_model_from_dict(doc)
     if isinstance(obj, ElementaryModel):
-        return None, assemble_matrix(obj, trunc=trunc)
-    return None, obj
-
-
-def _digest(target: str) -> str:
-    """Hash of what ``_read_target`` reads: a catalog name before a file."""
-    if target not in catalog.CATALOG and os.path.exists(target):
-        with open(target, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()[:16]
-    return hashlib.sha256(target.encode()).hexdigest()[:16]
+        return None, assemble_matrix(obj, trunc=trunc), digest
+    return None, obj, digest
 
 
 def _sample_points(seed: int, n: int = 32) -> np.ndarray:
@@ -100,7 +93,7 @@ def _sample_points(seed: int, n: int = 32) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
-    entry, germ = _load_target(args.target, args.trunc)
+    entry, germ, digest = _load_target(args.target, args.trunc)
     model = formal.formal_decompose(germ)
     report = formal.decomposition_summary(germ, model)
     # the index refuses a non-integral irregularity: before the metric work
@@ -116,8 +109,7 @@ def cmd_analyze(args) -> int:
         [np.prod(np.abs(z) ** (-2.0 * alpha)) for z in zs])
     det_dev = float(np.max(np.abs(
         np.array([r["det_K"] for r in rows]) / det_target - 1.0)))
-    ratio_target = 2.0 * float(np.max(np.abs(mm.vector_weights()))) \
-        if mm.rank else 0.0
+    ratio_target = 2.0 * float(np.max(np.abs(mm.vector_weights())))
     metric_summary = {
         "det_rel_dev": det_dev,
         "ratio_target": ratio_target,
@@ -129,12 +121,10 @@ def cmd_analyze(args) -> int:
 
     l2_summary = None
     if entry is not None and entry.l2:
-        l2_summary = {"available": True, "params": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in entry.l2.items()}}
+        l2_summary = {"available": True, "params": entry.l2}
 
     doc = {
-        "input": {"target": args.target, "digest": _digest(args.target)},
+        "input": {"target": args.target, "digest": digest},
         "config": _config_echo(args, trunc=args.trunc),
         "polygon": {"slopes": report["slopes"],
                     "irregularity": report["irregularity"]},
@@ -165,8 +155,8 @@ def _pair(key: str, val) -> tuple:
 
 
 def _l2_data(target: str):
-    """WeightedLineData + sector/inner bookkeeping from a name or a file."""
-    entry, params = _read_target(target)
+    """WeightedLineData, sector/inner bookkeeping and digest of a name or file."""
+    entry, params, digest = _read_target(target)
     if entry is not None:
         if not entry.l2:
             raise ParseError(f"catalog entry {target!r} has no rank-1 weight data")
@@ -195,11 +185,11 @@ def _l2_data(target: str):
             r1=_number("r1", params.get("r1", 0.5)))
     except (TypeError, ValueError, OverflowError, DomainError) as exc:
         raise ParseError(f"bad l2 parameters: {exc}") from exc
-    return d, sector, inner, sub_sector
+    return d, sector, inner, sub_sector, digest
 
 
 def cmd_l2verify(args) -> int:
-    d, sector, inner, sub_sector = _l2_data(args.target)
+    d, sector, inner, sub_sector, digest = _l2_data(args.target)
     g = SectorGrid.make(sector=sector, r1=d.r1, preset=args.grid)
     width = sector[1] - sector[0]
 
@@ -211,7 +201,7 @@ def cmd_l2verify(args) -> int:
     vanish_ok = all(r["verdict"] in ("ok", "excluded") for r in vanish)
 
     doc = {
-        "input": {"target": args.target, "digest": _digest(args.target)},
+        "input": {"target": args.target, "digest": digest},
         "config": _config_echo(args, grid=args.grid),
         "excluded_case": d.excluded,
         "phase": {"r_phi": phase_r, "tau": d.tau, "ell": d.ell},
@@ -274,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("target")
     l.add_argument("--trials", type=_at_least(1), default=5,
                    help="Monte Carlo trials for the vanishing report")
-    l.add_argument("--grid", choices=("coarse", "default", "fine"),
+    l.add_argument("--grid", choices=tuple(l2lab.PRESETS),
                    default="default", help="quadrature preset")
     common(l)
     l.set_defaults(func=cmd_l2verify)

@@ -1,10 +1,11 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Everything works directly over the field CQ. The decomposition layers
-use d × d matrices with d ≤ 4 (the rank guard), where the dense
-Gauss–Jordan `rref` is the clearest tool. `index.local_full_dims` ranks
-Laurent windows of up to about 80 × 80 whose entries are mostly zero, so
-`rank` eliminates over sparse rows instead.
+Everything works directly over the field CQ, and there is one
+elimination: `_eliminate` reduces sparse {column: entry} rows, since the
+Laurent windows that `index.local_full_dims` ranks are mostly zero (the
+benchmark's largest is 80 × 78). `rank` counts its pivot rows; `rref`
+scales them and back-substitutes, for `kernel`, `inverse` and the d × d
+matrices (d ≤ 4, the rank guard) of the decomposition layers.
 """
 
 from __future__ import annotations
@@ -42,43 +43,30 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    a = [row[:] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if not a[i][c].is_zero), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = CQ_ONE / a[r][c]
-        a[r] = [inv * x for x in a[r]]
-        for i in range(rows):
-            if i != r and not a[i][c].is_zero:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+def _sub_row(r: dict[int, CQ], f: CQ, pivot: dict[int, CQ]) -> None:
+    """r −= f · pivot over sparse rows, dropping the entries that cancel."""
+    for j, x in pivot.items():
+        y = r.get(j)
+        v = -(f * x) if y is None else y - f * x
+        if v.is_zero:
+            del r[j]
+        else:
+            r[j] = v
 
 
-def rank(m: Matrix) -> int:
-    """Rank of m by exact forward elimination over sparse rows.
+def _eliminate(m: Matrix) -> list[tuple[int, CQ, dict[int, CQ]]]:
+    """Forward elimination over sparse rows: (column, 1/entry, rest) per pivot.
 
     Each row is held as {column: entry} with its nonzero entries only.
     Each step pivots on the lowest column still present, takes the
     shortest row holding it as the pivot row, eliminates that column
-    from the other rows and drops rows that become empty. There is no
-    back-substitution and no normalisation; m is left untouched.
+    from the other rows and drops rows that become empty. The pivot rows
+    come out in echelon order, unscaled, their pivot entries split off;
+    m is left untouched.
     """
     rows = [r for r in ({j: x for j, x in enumerate(row) if not x.is_zero}
                         for row in m) if r]
-    found = 0
+    pivots = []
     while rows:
         col = min(min(r) for r in rows)
         holders = [r for r in rows if col in r]
@@ -86,20 +74,37 @@ def rank(m: Matrix) -> int:
         rows = [r for r in rows if col not in r]
         inv = CQ_ONE / pivot.pop(col)
         for r in holders:
-            if r is pivot:
-                continue
-            f = r.pop(col) * inv
-            for j, x in pivot.items():
-                y = r.get(j)
-                v = -(f * x) if y is None else y - f * x
-                if v.is_zero:
-                    del r[j]
-                else:
-                    r[j] = v
-            if r:
-                rows.append(r)
-        found += 1
-    return found
+            if r is not pivot:
+                _sub_row(r, r.pop(col) * inv, pivot)
+                if r:
+                    rows.append(r)
+        pivots.append((col, inv, pivot))
+    return pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rref, pivot column indices).
+
+    The pivot rows of `_eliminate`, scaled to a leading 1, clear their
+    pivot columns from the rows above them, from the last pivot up.
+    """
+    echelon = [(c, {c: CQ_ONE} | {j: inv * x for j, x in rest.items()})
+               for c, inv, rest in _eliminate(m)]
+    for k in reversed(range(len(echelon))):
+        col, row = echelon[k]
+        for _, above in echelon[:k]:
+            if col in above:
+                _sub_row(above, above[col], row)
+    red = zeros(len(m), len(m[0]) if m else 0)
+    for i, (_, row) in enumerate(echelon):
+        for j, x in row.items():
+            red[i][j] = x
+    return red, [c for c, _ in echelon]
+
+
+def rank(m: Matrix) -> int:
+    """Rank of m: the number of pivot rows of `_eliminate`."""
+    return len(_eliminate(m))
 
 
 def kernel(m: Matrix) -> list[list[CQ]]:

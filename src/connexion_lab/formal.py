@@ -18,8 +18,8 @@ from .errors import (DomainError, InsufficientTruncation, NilpotentLeading,
                      NonIntegralIrregularity, NotLogarithmic,
                      RamificationGuardExceeded, ConnexionLabError)
 from .model import (ConnectionGerm, ElementaryModel, RegularBlockData, SMatrix,
-                    ramified_pullback, smat_coeff, smat_min_trunc, smat_min_val,
-                    twist_by_exponential, unipotent_gauge)
+                    model_to_dict, ramified_pullback, smat_coeff, smat_min_trunc,
+                    smat_min_val, twist_by_exponential, unipotent_gauge)
 from .series import CQ, CQ_ZERO, PuiseuxSeries, ps_add, ps_neg
 
 RANK_GUARD = 4
@@ -455,15 +455,9 @@ def _decompose(cur: ConnectionGerm, top: int
     raise ConnexionLabError("formal reduction did not terminate")
 
 
-def decomposition_report(germ: ConnectionGerm) -> dict:
-    """JSON-friendly summary: polygon, irregularity, elementary model."""
-    return decomposition_summary(germ, formal_decompose(germ))
-
-
 def decomposition_summary(germ: ConnectionGerm, model: ElementaryModel) -> dict:
-    """``decomposition_report`` for a model already decomposed from germ."""
-    from .model import model_to_dict
-
+    """JSON-friendly summary of germ and the model decomposed from it:
+    polygon, irregularity, elementary model."""
     poly = newton_polygon(germ)
     irr = poly.irregularity
     return {

@@ -168,8 +168,6 @@ def lefschetz_dims(rep: MonodromyRep):
         raise DomainError("surface-group relation violated")
     d = rep.rank
     gens = list(rep.generators())
-    if not gens:
-        return d, d
     stacked_v = np.vstack([g - np.eye(d) for g in gens])
     stacked_h = np.hstack([g - np.eye(d) for g in gens])
     h0 = d - np.linalg.matrix_rank(stacked_v, tol=1e-8)

@@ -440,7 +440,8 @@ def hardy_angular(d: WeightedLineData, inner, outer, g: SectorGrid) -> float:
     Requires e^{−Re φ} monotone in θ on the outer sector; bounded by
     (θ₁'−θ₀')² when it is.  Both cumulative integrals are taken on the
     whole (radii × θ) grid at once; a radius whose C_n(r) is NaN counts
-    as 0.
+    as 0. `inner` is read nowhere; it stays only because
+    `perfbench/run.py` passes it positionally.
     """
     th0, th1 = outer
     th = np.linspace(th0, th1, len(g.thetas))

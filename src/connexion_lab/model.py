@@ -193,14 +193,14 @@ def unipotent_gauge(a: SMatrix, x, m: int, trunc: int,
 
 # -- domain types --------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class ConnectionGerm:
     rank: int
     ram: int
-    matrix: SMatrix = field(compare=False)
+    matrix: SMatrix
     #: watermark: every truncation, and every coefficient up to this order,
     #: is exact; those above it may be missing or wrong.  None: all exact.
-    exact: int | None = field(default=None, compare=False, repr=False)
+    exact: int | None = field(default=None, repr=False)
 
     @staticmethod
     def from_matrix(matrix: SMatrix) -> "ConnectionGerm":
@@ -446,8 +446,6 @@ def germ_or_model_from_dict(doc):
                                            for p in r["partition"]))
                     for r in blk["regs"])
                 blocks.append((phi, regs))
-        except ParseError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad elementary spec: {exc}") from exc
         if not blocks:

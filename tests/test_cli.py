@@ -137,6 +137,7 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     for i, spec in enumerate([
             {"form": "matrix", "rank": 2, "matrix": []},
             {"form": "matrix", "rank": 0, "matrix": []},
+            {"form": "matrix", "matrix": airy_spec(2)["matrix"]},  # no rank
             {"form": "elementary", "blocks": []},
             [{"form": "matrix", "rank": 0, "matrix": []}], *NOT_INTEGERS]):
         bad2 = tmp_path / f"bad2-{i}.json"
@@ -522,11 +523,30 @@ def test_digest_hashes_the_catalog_name_a_file_of_that_name_shadows(
         tmp_path, capsys, monkeypatch):
     # the catalog name is read before a file with the same name
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "airy").write_text("not a spec")
-    code, out, err = run(capsys, "analyze", "airy")
+    for argv, digest in (
+            (("analyze", "airy"), "41164471862a0062"),
+            (("l2verify", "e-inverse-z", "--grid", "coarse", "--trials", "1"),
+             "6415fb853a5cff95")):
+        (tmp_path / argv[1]).write_text("not a spec")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["input"]["digest"] == hashlib.sha256(
+            argv[1].encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("command,doc,flags", [
+    ("analyze", airy_spec(2), ()),
+    ("l2verify", {"a_ell": -1.0, "sector": [2.0, 2.9]},
+     ("--grid", "coarse", "--trials", "1")),
+])
+def test_digest_hashes_the_bytes_of_the_file(tmp_path, capsys, command, doc,
+                                             flags):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(doc, indent=3) + "\n\n")
+    code, out, err = run(capsys, command, str(path), *flags)
     assert code == 0, err
     assert json.loads(out)["input"]["digest"] == hashlib.sha256(
-        b"airy").hexdigest()[:16] == "41164471862a0062"
+        path.read_bytes()).hexdigest()[:16]
 
 
 def test_reports_are_byte_deterministic(capsys):

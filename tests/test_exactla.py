@@ -1,12 +1,13 @@
-"""Exact linear algebra: the sparse `rank` against sympy and against `rref`,
+"""Exact linear algebra: `rank` and `rref` against sympy and each other,
 and `charpoly`, `gaussian_roots` and `spectrum` against sympy.
 
-`rank` eliminates over sparse rows on its own, apart from `rref`, so
-both must agree with an independent exact rank on every shape the package
-can hand them, including empty and degenerate ones.  `gaussian_roots`
-must return the exact multiset of roots of a product of linear factors
-over Q(i), repeated roots included.  `spectrum` must read back the
-eigenvalues and Jordan partitions of P·J·P⁻¹ from any Jordan matrix J.
+`rank` and `rref` share one sparse elimination, so both must agree with
+an independent exact rank and reduced row echelon form on every shape
+the package can hand them, including empty and degenerate ones.
+`gaussian_roots` must return the exact multiset of roots of a product of
+linear factors over Q(i), repeated roots included.  `spectrum` must read
+back the eigenvalues and Jordan partitions of P·J·P⁻¹ from any Jordan
+matrix J.
 """
 
 from fractions import Fraction
@@ -57,17 +58,28 @@ def to_sympy(m):
         for row in m for x in row])
 
 
+def expanded_zero(x):
+    # expand before each zero test: sympy keeps products of complex
+    # numbers unexpanded, and a zero it cannot see would raise the rank
+    return sympy.expand(x) == 0
+
+
 @SETTINGS
 @given(matrices())
 def test_rank_matches_sympy_and_rref(m):
     rows = list(m)
     copy = [row[:] for row in m]
     r = exactla.rank(m)
+    red, pivots = exactla.rref(m)
     assert m == copy and all(a is b for a, b in zip(m, rows))
-    # expand before each zero test: sympy keeps products of complex
-    # numbers unexpanded, and a zero it cannot see would raise the rank
-    assert r == to_sympy(m).rank(iszerofunc=lambda x: sympy.expand(x) == 0)
-    assert r == len(exactla.rref(m)[1])
+    expected, expected_pivots = to_sympy(m).rref(iszerofunc=expanded_zero)
+    assert r == to_sympy(m).rank(iszerofunc=expanded_zero) == len(pivots)
+    # rref: sympy's pivots, shape (trailing zero rows included) and entries
+    assert pivots == list(expected_pivots)
+    assert len(red) == expected.rows
+    assert all(len(row) == expected.cols for row in red)
+    assert all(expanded_zero(to_sympy([[x]])[0, 0] - expected[i, j])
+               for i, row in enumerate(red) for j, x in enumerate(row))
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connexion_lab.catalog import CATALOG
 from connexion_lab.errors import IrrationalRootOfUnity, ParseError
 from connexion_lab.model import (ConnectionGerm, ElementaryModel,
                                  RegularBlockData, _rotation_matches,
@@ -309,3 +310,12 @@ def test_rotation_ignores_irrational_terms_above_the_shared_trunc():
     c = PuiseuxSeries(3, {2: CQ.of(1)}, 6)
     assert _rotation_matches(c, PuiseuxSeries(3, {}, 1), 1)
     assert old_rotation_matches(c, PuiseuxSeries(3, {}, 1), 1)
+
+
+def test_germs_compare_by_identity():
+    # equal rank and ramification do not make two germs equal
+    airy = CATALOG["airy"].germ(8)
+    jordan = CATALOG["jordan2-regular"].germ(8)
+    assert (airy.rank, airy.ram) == (jordan.rank, jordan.ram)
+    assert airy != jordan and airy == airy
+    assert len({airy, jordan}) == 2
