@@ -70,16 +70,22 @@ def test_rank_matches_sympy_and_rref(m):
     rows = list(m)
     copy = [row[:] for row in m]
     r = exactla.rank(m)
-    red, pivots = exactla.rref(m)
+    pivots = assert_rref_matches_sympy(m)
     assert m == copy and all(a is b for a, b in zip(m, rows))
-    expected, expected_pivots = to_sympy(m).rref(iszerofunc=expanded_zero)
     assert r == to_sympy(m).rank(iszerofunc=expanded_zero) == len(pivots)
-    # rref: sympy's pivots, shape (trailing zero rows included) and entries
+
+
+def assert_rref_matches_sympy(m):
+    """rref(m) has sympy's pivots, shape (trailing zero rows included) and
+    entries; returns the pivots."""
+    red, pivots = exactla.rref(m)
+    expected, expected_pivots = to_sympy(m).rref(iszerofunc=expanded_zero)
     assert pivots == list(expected_pivots)
     assert len(red) == expected.rows
     assert all(len(row) == expected.cols for row in red)
     assert all(expanded_zero(to_sympy([[x]])[0, 0] - expected[i, j])
                for i, row in enumerate(red) for j, x in enumerate(row))
+    return pivots
 
 
 @st.composite
@@ -119,7 +125,7 @@ def c(re, im=0):
 ])
 def test_rank_fixed_cases(m, expected):
     assert exactla.rank(m) == expected
-    assert len(exactla.rref(m)[1]) == expected
+    assert len(assert_rref_matches_sympy(m)) == expected
 
 
 small_roots = st.builds(
