@@ -18,8 +18,8 @@ from .errors import (DomainError, InsufficientTruncation, NilpotentLeading,
                      NonIntegralIrregularity, NotLogarithmic,
                      RamificationGuardExceeded, ConnexionLabError)
 from .model import (ConnectionGerm, ElementaryModel, RegularBlockData, SMatrix,
-                    model_to_dict, ramified_pullback, smat_coeff, smat_min_trunc,
-                    smat_min_val, twist_by_exponential, unipotent_gauge)
+                    ramified_pullback, smat_coeff, smat_min_trunc, smat_min_val,
+                    twist_by_exponential, unipotent_gauge)
 from .series import CQ, CQ_ZERO, PuiseuxSeries, ps_add, ps_neg
 
 RANK_GUARD = 4
@@ -182,7 +182,9 @@ def _const_gauge(a: SMatrix, p: exactla.Matrix, top: int | None = None) -> SMatr
     empty entry), and a sum its least truncation.  Orders above ``top`` are
     not computed.  A valuation above ``top`` enters only as T + v, which is
     then at least the greatest truncation and never below the term of a
-    nonzero entry of P or P⁻¹, so every truncation is exact.
+    nonzero entry of P or P⁻¹, so every truncation is exact.  That needs
+    ``top`` ≥ (greatest truncation) − T − 1; a lower ``top`` asks for that
+    order with ``NeedOrder``.
     """
     d, q, t = len(a), a[0][0].ram, smat_min_trunc(a)
     hi = max(s.trunc for row in a for s in row)
@@ -453,18 +455,3 @@ def _decompose(cur: ConnectionGerm, top: int
         cur = ConnectionGerm(d, q, twist_by_exponential(cur, ps_neg(phi_part)).matrix,
                              cur.exact)
     raise ConnexionLabError("formal reduction did not terminate")
-
-
-def decomposition_summary(germ: ConnectionGerm, model: ElementaryModel) -> dict:
-    """JSON-friendly summary of germ and the model decomposed from it:
-    polygon, irregularity, elementary model."""
-    poly = newton_polygon(germ)
-    irr = poly.irregularity
-    return {
-        "rank": germ.rank,
-        "ram_in": germ.ram,
-        "slopes": [[s.numerator, s.denominator, m] for s, m in poly.slopes],
-        "irregularity": [irr.numerator, irr.denominator],
-        "model": model_to_dict(model),
-        "ram_out": model.ram,
-    }

@@ -98,10 +98,9 @@ def _curvature_block(b: MetricBlock, a2, a3) -> np.ndarray:
 
 
 def connection_and_curvature(mm: ModelMetric, z):
-    """(M_k, R, R_orth, ratio) at z, coefficients of dz/z and dz/z∧dz̄/z̄.
+    """(M_k, R) at z, coefficients of dz/z and dz/z∧dz̄/z̄.
 
-    M_k = −α′·Id − Y − 2H/a + 2X/a²,  R = 2H/a² − 4X/a³, and the
-    orthonormal-frame coefficient R_orth = 2H/a²; ratio = ‖R_orth‖·a².
+    M_k = −α′·Id − Y − 2H/a + 2X/a²,  R = 2H/a² − 4X/a³.
     """
     zs, a = _points(z)
     a2, a3 = _pow(a, 2), _pow(a, 3)
@@ -110,9 +109,7 @@ def connection_and_curvature(mm: ModelMetric, z):
         -float(b.alpha.re) * b.eye - b.triple.y
         - 2 * b.triple.h / a[:, None, None] + 2 * b.triple.x / a2))
     r = _block_stack(mm, n, lambda b: _curvature_block(b, a2, a3))
-    r_orth = _block_stack(mm, n, lambda b: 2 * b.triple.h / a2)
-    ratio = np.linalg.norm(r_orth, 2, axis=(1, 2)) * a2[:, 0, 0]
-    return tuple(_shaped(z, x) for x in (m_k, r, r_orth, ratio))
+    return _shaped(z, m_k), _shaped(z, r)
 
 
 def curvature_knorm_ratio(mm: ModelMetric, z) -> np.ndarray:
@@ -268,7 +265,7 @@ def glued_transition(mm: ModelMetric, gd: StokesGluingData, z) -> np.ndarray:
 
     μ_ij = c_ij·e^{φ_i − φ_j}; BadDominanceOrder where Re(φ_i − φ_j) ≥ 0.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zs, _ = _points(z)
     d = mm.rank
     phis = mm.vector_phis()
     out = np.tile(np.eye(d, dtype=complex), (len(zs), 1, 1))
@@ -311,7 +308,7 @@ def metric_report(mm: ModelMetric, zs, gd: StokesGluingData | None = None):
     zs, a = _points(zs)
     k, _ = eval_metric(mm, zs)
     det_k = np.linalg.det(k).real
-    ratio = connection_and_curvature(mm, zs)[3]
+    ratio = curvature_knorm_ratio(mm, zs)
     pseudo = np.linalg.norm(pseudo_curvature(mm, zs), 2, axis=(1, 2))
     delta = (np.linalg.norm(glued_metric(mm, gd, zs) - k, 2, axis=(1, 2))
              if gd is not None else np.zeros(len(zs)))

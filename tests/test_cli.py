@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from connexion_lab import catalog
+from connexion_lab import catalog, metric
 from connexion_lab.cli import main
 
 
@@ -71,6 +71,15 @@ def test_analyze_airy(capsys):
     assert doc["polygon"]["irregularity"] == [1, 1]
     assert doc["metric"]["pseudo_max"] <= 1e-10
     assert doc["config"]["seed"] == 0
+
+
+def test_analyze_ratio_shows_a_curvature_error(capsys, monkeypatch):
+    """The ratio column is computed from R: a wrong sign on its X term shows."""
+    monkeypatch.setattr(metric, "_curvature_block", lambda b, a2, a3: (
+        2 * b.triple.h / a2 + 4 * b.triple.x / a3))
+    code, out, err = run(capsys, "analyze", "jordan2-regular")
+    assert code == 0, err
+    assert json.loads(out)["metric"]["ratio_max_dev"] > 1
 
 
 def test_analyze_kummer_half(capsys):

@@ -12,7 +12,7 @@ from connexion_lab.cli import write_csv
 from connexion_lab.errors import BadDominanceOrder, DomainError
 from connexion_lab.formal import formal_decompose
 from connexion_lab.l2lab import smoothstep
-from connexion_lab.metric import (StokesGluingData, _norm_angle,
+from connexion_lab.metric import (StokesGluingData, _norm_angle, _orthonormal,
                                   connection_and_curvature,
                                   curvature_knorm_ratio, eval_metric,
                                   fd_curvature_check, glued_metric,
@@ -62,13 +62,18 @@ def test_poincare_a():
 def test_domain_guard():
     """Every function of a point refuses |z| = 0 or |z| ≥ 1, alone or in an array."""
     mm = jordan2_metric()
-    for fn in (eval_metric, connection_and_curvature, curvature_knorm_ratio,
-               pseudo_curvature, metric_report):
+    stokes = stokes_frame()
+    calls = [(fn, (mm,)) for fn in (eval_metric, connection_and_curvature,
+                                    curvature_knorm_ratio, pseudo_curvature,
+                                    metric_report)]
+    calls += [(fn, stokes) for fn in (glued_transition, glued_transition_det,
+                                      glued_metric)]
+    for fn, head in calls:
         for bad in (0, 0.0, 1.0, 1.5, 1.5j):
             with pytest.raises(DomainError):
-                fn(mm, bad)
+                fn(*head, bad)
             with pytest.raises(DomainError):
-                fn(mm, np.array([0.3, bad, 0.5j]))
+                fn(*head, np.array([0.3, bad, 0.5j]))
 
 
 def test_metric_values_jordan_block():
@@ -108,13 +113,14 @@ def test_connection_curvature_consistency_fd():
 
 
 def test_orthogonal_part_of_curvature():
+    """R = 2H/a² − 4X/a³ reads 2H/a² in the orthonormal frame e·P."""
     mm = jordan2_metric()
     z = z_for_a(3.0)
-    _, r, r_orth, ratio = connection_and_curvature(mm, z)
-    a = poincare_a(z)
+    _, r = connection_and_curvature(mm, z)
+    a = np.array([poincare_a(z)])
+    r_orth = _orthonormal(mm.blocks[0], a, r[None])[0, 0]
     h = np.diag([1.0, -1.0])
-    assert np.allclose(r_orth, 2 * h / a ** 2, atol=1e-12)
-    assert ratio == pytest.approx(2.0)
+    assert np.allclose(r_orth, 2 * h / a[0] ** 2, atol=1e-12)
 
 
 def test_pseudo_curvature_vanishes():

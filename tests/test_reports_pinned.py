@@ -14,6 +14,8 @@ records the numpy version and the machine it was made on, and the tests
 skip anywhere else.  Regenerate it only when a report is meant to change:
 
     PYTHONPATH=src python tests/test_reports_pinned.py
+
+which prints each (entry, key) whose digest it changed.
 """
 
 import contextlib
@@ -80,6 +82,11 @@ def test_pinned_file_covers_the_catalog():
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         reports = {name: snapshot(name, Path(tmp)) for name in catalog.names()}
+    for name, doc in reports.items():
+        old = PINNED["reports"].get(name, {})
+        for key in sorted(doc.keys() | old.keys()):
+            if doc.get(key) != old.get(key):
+                print(name, key)
     DATA.write_text(json.dumps({"numpy": np.__version__,
                                 "machine": platform.machine(),
                                 "reports": reports}, indent=1, sort_keys=True) + "\n")

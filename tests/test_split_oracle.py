@@ -258,6 +258,21 @@ def test_lazy_split_v3_matches_oracle_to_its_watermark(top):
     _check_lazy(_v3_germ(16), top)
 
 
+def test_const_gauge_asks_for_the_orders_its_truncations_read():
+    # truncations 1 and 9: an empty entry's valuation 9 counts as 1 + 9, so
+    # a watermark below 9 − 1 − 1 = 7 cannot give every truncation; at
+    # watermark 0 the (1, 1) entry would read 2 where the full gauge has 3
+    a = [[PuiseuxSeries(1, {}, n) for n in row] for row in ((1, 9), (9, 9))]
+    full = _const_gauge(a, exactla.eye(2))
+    for top in range(-1, 7):
+        with pytest.raises(formal.NeedOrder) as need_order:
+            _const_gauge(a, exactla.eye(2), top)
+        assert need_order.value.args == (7,)
+    lazy = _const_gauge(a, exactla.eye(2), 7)
+    assert [[s.trunc for s in row] for row in lazy] == [[1, 2], [2, 3]]
+    assert lazy == full
+
+
 def _restart_blocks(v):
     """φ = +t⁻ᵛ with α = 0 in one Jordan block of 3, φ = −t⁻ᵛ with α = 1/2."""
     return ({-v: 1}, [(0, (3,))]), ({-v: -1}, [((1, 2), (1,))])
