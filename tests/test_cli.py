@@ -480,6 +480,17 @@ def test_l2verify_parameter_files_exit_0_2_or_5(tmp_path, capsys, params):
         assert out == "" and err.startswith("error:"), err
 
 
+def test_l2verify_runs_where_a_fitted_phase_aliased(tmp_path, capsys):
+    # τ = arg(−a_ℓ) is read off a_ℓ, not fitted on a θ grid where sin(32θ)
+    # vanishes
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"a_ell": [0, 1], "ell": 32,
+                                "sector": [0.1, 0.14]}))
+    code, _, err = run(capsys, "l2verify", str(path), "--grid", "coarse",
+                       "--trials", "1")
+    assert code in (0, 5), err
+
+
 def test_l2verify_integral_floats_run_as_integers(tmp_path, capsys):
     docs = []
     for ell, kappa in ((1, 1), (1.0, 1.0)):
