@@ -711,6 +711,61 @@ def test_phase_matches_its_closed_form(ell, log_size, angle):
     assert np.all(np.abs(d_th + ell * size * np.sin(angle)) <= ell * tol)
 
 
+def phase_draws(seed):
+    """The rank-1 data of the former tail checks, with the tail left off.
+
+    Odd trials carry a random a_ℓ, even ones none; ℓ cycles through 1, 2, 3.
+    The radii reach 10⁻⁶, below the closed-form check's 10⁻³.
+    """
+    rng = np.random.default_rng(seed)
+    for trial in range(60):
+        a_ell = complex(*rng.uniform(-2, 2, 2)) if trial % 2 else 0.0
+        yield WeightedLineData.create(a_ell=a_ell, ell=1 + trial % 3,
+                                      sector=(0.0, 6.0))
+
+
+def test_neg_re_phi_tail_matches_term_loop():
+    """Without a tail, −Re φ is its one term (|a_ℓ|/r^ℓ)·cos(ℓθ − τ).
+
+    Each draw is summed in polar form and compared to a few ulp of
+    ℓ·(1 + |θ|) times |a_ℓ|/r^ℓ; no a_ℓ gives exact zeros.
+    """
+    r = np.geomspace(1e-6, 0.99, 80)[:, None]
+    th = np.linspace(-7.0, 7.0, 64)[None, :]
+    for d in phase_draws(8):
+        out = d.neg_re_phi(r, th)
+        assert out.shape == (80, 64)
+        if d.a_ell == 0:
+            assert np.all(out == 0.0)
+            continue
+        size = abs(d.a_ell) / r ** d.ell
+        tol = 16 * np.finfo(float).eps * d.ell * (1.0 + np.abs(th)) * size
+        assert np.all(np.abs(out - size * np.cos(d.ell * th - d.tau)) <= tol)
+
+
+def test_grad_neg_re_phi_tail_matches_term_loop():
+    """Without a tail, the gradient of −Re φ is that of its one term.
+
+    ∂_r = −ℓ(|a_ℓ|/r^{ℓ+1})·cos(ℓθ − τ) and ∂_θ = −ℓ(|a_ℓ|/r^ℓ)·sin(ℓθ − τ),
+    to the tolerance of the phase times ℓ (and 1/r for ∂_r); no a_ℓ gives
+    zeros.
+    """
+    r = np.geomspace(1e-6, 0.99, 80)[:, None]
+    th = np.linspace(-7.0, 7.0, 64)[None, :]
+    for d in phase_draws(9):
+        d_r, d_th = d.grad_neg_re_phi(r, th)
+        assert d_r.shape == d_th.shape == (80, 64)
+        if d.a_ell == 0:
+            assert np.all(d_r == 0.0) and np.all(d_th == 0.0)
+            continue
+        ell = d.ell
+        size = abs(d.a_ell) / r ** ell
+        angle = ell * th - d.tau
+        tol = 16 * np.finfo(float).eps * ell * (1.0 + np.abs(th)) * size
+        assert np.all(np.abs(d_r + ell * size / r * np.cos(angle)) <= ell * tol / r)
+        assert np.all(np.abs(d_th + ell * size * np.sin(angle)) <= ell * tol)
+
+
 @pytest.mark.parametrize("mask", [
     [True, True, True], [False, True, True], [True, False, True],
     [True, True, False], [False, False], [], [True]])
