@@ -75,7 +75,7 @@ class WeightedLineData:
             tau = math.atan2(-a_ell.imag, -a_ell.real) + 0.0
         d = cls(beta, kappa, ell, a_ell, tau,
                 (float(sector[0]), float(sector[1])), float(r1))
-        d._verify_tau()
+        d._verify_range()
         return d
 
     @property
@@ -83,7 +83,7 @@ class WeightedLineData:
         """The flat weight (a_ℓ = 0, β = 0, κ = 0), outside the vanishing theorem."""
         return self.a_ell == 0 and self.beta == 0 and self.kappa == 0
 
-    def _verify_tau(self):
+    def _verify_range(self):
         """Refuse ℓ when −Re φ or its size |a_ℓ|/r^ℓ overflows at r = 10⁻³ on the sector."""
         if self.a_ell == 0:
             return
@@ -94,8 +94,8 @@ class WeightedLineData:
             actual = self.neg_re_phi(r, th)
         if scale == 0 or not (math.isfinite(abs(self.a_ell) / scale)
                               and np.all(np.isfinite(actual))):
-            raise DomainError(f"ℓ = {self.ell} is too large to check the "
-                              f"τ identity at r = {r}")
+            raise DomainError(f"ℓ = {self.ell} makes −Re φ overflow a float "
+                              f"at r = {r}")
 
     def neg_re_phi(self, r, theta):
         """−Re φ(r e^{iθ}), vectorized."""
@@ -534,10 +534,10 @@ def _manufactured(rng, g: SectorGrid):
 
 def vanishing_report(d: WeightedLineData, trials: int, g: SectorGrid,
                      seed: int = 0):
-    """Monte Carlo over manufactured closed forms; constants tabulated."""
+    """Monte Carlo over manufactured closed forms; constants tabulated.  The
+    excluded flat weight, outside the vanishing theorem, gets no rows."""
     if d.excluded:
-        return [{"trial": trial, "ratio": float("nan"), "residual": float("nan"),
-                 "verdict": "excluded"} for trial in range(trials)]
+        return []
     rows = []
     rng = np.random.default_rng(seed)
     inner_w = (g.thetas[-1] - g.thetas[0])

@@ -35,7 +35,7 @@ def _points(z):
     r = np.abs(zs)
     if ((r == 0) | (r >= 1)).any():
         raise DomainError("metric evaluation needs 0 < |z| < 1")
-    return zs, abs(2.0 * np.log(r))
+    return zs, poincare_a(zs)
 
 
 def _shaped(z, out):

@@ -9,13 +9,12 @@ assumed zero.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
-
-import numpy as np
 
 from .errors import ParseError, ZeroLeadingTerm
 
@@ -306,34 +305,11 @@ def ps_eq_to_trunc(a: PuiseuxSeries, b: PuiseuxSeries) -> bool:
     return True
 
 
-def ps_eval(a: PuiseuxSeries, log_z):
-    """Σ cₙ·tⁿ at t = e^{log_z/q}; log_z, a scalar or an array, fixes the branch.
-
-    Every step rounds as Python's complex arithmetic does: numpy's power
-    squares as Python's does for |n| < 100, and the quotient 1/tⁿ and the
-    products are written out on the real and imaginary parts (numpy's
-    complex division and multiplication round differently).  A scalar
-    result therefore equals the term-by-term loop over Python complex
-    numbers bit for bit.
-    """
-    lz = np.asarray(log_z, dtype=complex)
-    t = np.exp(lz.real / a.ram + 1j * (lz.imag / a.ram))
-    re = im = 0.0
-    for n, c in a.terms.items():
-        p = np.power(t, abs(n))
-        x, y = p.real, p.imag
-        if n < 0:  # Smith's quotient 1/(x + iy), dividing by the larger part
-            big = np.abs(x) >= np.abs(y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rat = np.where(big, y / x, x / y)
-                den = np.where(big, x + y * rat, x * rat + y)
-                x, y = (np.where(big, 1.0, rat + 0.0) / den,
-                        np.where(big, 0.0 - rat, -1.0) / den)
-        cr, ci = c.a / c.d, c.b / c.d
-        re, im = re + (cr * x - ci * y), im + (cr * y + ci * x)
-    out = np.empty(lz.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out if out.ndim else complex(out)
+def ps_eval(a: PuiseuxSeries, log_z: complex) -> complex:
+    """Σ cₙ·tⁿ at t = e^{log_z/q}, one point in Python complex arithmetic;
+    log_z fixes the branch."""
+    t = cmath.exp(log_z / a.ram)
+    return sum((c.to_complex() * t ** n for n, c in a.terms.items()), 0j)
 
 
 # -- literal (wire) format ----------------------------------------------

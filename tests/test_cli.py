@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from connexion_lab import catalog, metric
+from connexion_lab import catalog, cli, metric
 from connexion_lab.cli import main
 
 
@@ -43,6 +43,25 @@ def test_catalog_out_writes_the_listing(tmp_path, capsys):
     assert out_path.read_text() == listing
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("cmd_analyze", ("analyze", "trivial")),
+    ("cmd_l2verify", ("l2verify", "trivial", "--grid", "coarse",
+                      "--trials", "1"))])
+def test_a_command_wrapped_after_a_call_runs_the_wrapper(capsys, monkeypatch,
+                                                         name, argv):
+    """main looks its command up per call, so a tracer's wrapper runs."""
+    run(capsys, *argv)
+    calls, inner = [], getattr(cli, name)
+
+    def wrapper(args):
+        calls.append(args.command)
+        return inner(args)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and calls == [argv[0]]
+
+
 def _refuse(constant):
     raise ValueError(f"bare {constant} is not strict JSON")
 
@@ -52,11 +71,8 @@ CATALOG_REPORTS = [("analyze", name) for name in catalog.CATALOG] + [
     for name, entry in catalog.CATALOG.items() if entry.l2]
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(argv, marks=pytest.mark.xfail(
-        strict=True, reason="the excluded rows print bare NaN"))
-    if argv[:2] == ("l2verify", "trivial") else argv
-    for argv in CATALOG_REPORTS], ids=lambda argv: "-".join(argv[:2]))
+@pytest.mark.parametrize("argv", CATALOG_REPORTS,
+                         ids=lambda argv: "-".join(argv[:2]))
 def test_catalog_reports_are_strict_json(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -374,13 +390,18 @@ def test_l2verify_passes_on_catalog_line(capsys):
     assert not doc["excluded_case"]
 
 
-def test_l2verify_excluded_case_exits_0(capsys):
-    code, out, _ = run(capsys, "l2verify", "trivial", "--grid", "coarse",
-                       "--trials", "2")
+def test_l2verify_excluded_case_exits_0(tmp_path, capsys):
+    argv = ("l2verify", "trivial", "--grid", "coarse", "--trials", "2")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["excluded_case"]
-    assert all(r["verdict"] == "excluded" for r in doc["vanishing"]["rows"])
+    assert doc["vanishing"]["rows"] == []
+    out_path = tmp_path / "trivial.json"
+    code, printed, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and printed == ""
+    assert out_path.read_text() == out
+    assert (tmp_path / "trivial.vanishing.csv").read_bytes() == b""
 
 
 def test_l2verify_cos_zero_sector_exits_5(tmp_path, capsys):
