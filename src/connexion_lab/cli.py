@@ -157,6 +157,15 @@ def _pair(key: str, val) -> tuple:
     return tuple(_number(f"{key} entry", x) for x in val)
 
 
+def _finite_width(sector) -> bool:
+    """Whether (hi − lo)² is a finite float, so that lo and hi are too."""
+    try:
+        lo, hi = map(float, sector)
+        return math.isfinite((hi - lo) ** 2)
+    except OverflowError:  # an end past a float, or a square past one
+        return False
+
+
 def _l2_data(target: str):
     """WeightedLineData, sector/inner bookkeeping and digest of a name or file."""
     entry, params, digest = _read_target(target)
@@ -167,6 +176,9 @@ def _l2_data(target: str):
     sector = _pair("sector", params.get("sector", (0.0, 2.0 * math.pi)))
     if not sector[0] < sector[1]:
         raise ParseError(f"sector {list(sector)} must have increasing ends")
+    if not _finite_width(sector):
+        raise ParseError(f"sector {list(sector)} must have finite ends and a "
+                         f"width whose square is a finite float")
     inner = _pair("inner", params.get(
         "inner", (sector[0] + 0.25 * (sector[1] - sector[0]),
                   sector[1] - 0.25 * (sector[1] - sector[0]))))
@@ -196,7 +208,6 @@ def cmd_l2verify(args) -> int:
     g = SectorGrid.make(sector=sector, r1=d.r1, preset=args.grid)
     width = sector[1] - sector[0]
 
-    phase_r = l2lab.phase_sign_check(d, g) if d.a_ell != 0 else None
     psi = l2lab.psi_profile(d, range(-5, 6), g, sub_sector=sub_sector)
     hardy_c = l2lab.hardy_angular(d, inner, sector, g)
     hardy_ok = hardy_c <= width ** 2 + 1e-9
@@ -207,7 +218,9 @@ def cmd_l2verify(args) -> int:
         "input": {"target": args.target, "digest": digest},
         "config": _config_echo(args, grid=args.grid),
         "excluded_case": d.excluded,
-        "phase": {"r_phi": phase_r, "tau": d.tau, "ell": d.ell},
+        # φ = a_ℓ z^{−ℓ}, so the proof's sign identities hold up to r1
+        "phase": {"r_phi": d.r1 if d.a_ell != 0 else None, "tau": d.tau,
+                  "ell": d.ell},
         "psi": {"cos_sign": psi["cos_sign"],
                 "kappa_ratio": psi["kappa_ratio"],
                 "verdicts": {str(n): v for n, v in psi["verdicts"].items()}},

@@ -468,6 +468,9 @@ def test_l2verify_overflowing_kappa_ratio_exits_5(tmp_path, capsys):
     {"beta": "0.5"},
     {"a_ell": True},
     {"sector": [True, 2]},
+    {"sector": [0, float("inf")], "inner": [1, 2]},
+    {"beta": 0.5, "sector": [0, 1e300], "inner": [1, 2]},
+    {"beta": 0.5, "sector": [-1e308, 1e308], "inner": [1, 2]},
 ])
 def test_l2verify_malformed_parameters_exit_2(tmp_path, capsys, params):
     path = tmp_path / "params.json"
@@ -491,7 +494,8 @@ l2_values = l2_scalars | st.lists(l2_scalars, max_size=3)
 @given(st.dictionaries(st.sampled_from(L2_KEYS), l2_values))
 def test_l2verify_parameter_files_exit_0_2_or_5(tmp_path, capsys, params):
     # a parameter file is verified, refused as malformed or refused by a
-    # bound, never a traceback
+    # bound, never a traceback; a report, which a refusal by a bound may
+    # print or not, is strict JSON
     path = tmp_path / "params.json"
     path.write_text(json.dumps(params))
     code, out, err = run(capsys, "l2verify", str(path), "--grid", "coarse",
@@ -499,6 +503,23 @@ def test_l2verify_parameter_files_exit_0_2_or_5(tmp_path, capsys, params):
     assert code in (0, 2, 5), err
     if code == 2:
         assert out == "" and err.startswith("error:"), err
+    if code == 0 or out:
+        json.loads(out, parse_constant=_refuse)
+
+
+def test_l2verify_phase_radius_is_r1_where_phi_prime_overflows(tmp_path,
+                                                                capsys):
+    # φ′ = −60 z^{−61} overflows at r = 10⁻⁶, yet the sign identities of
+    # φ = z^{−60} hold up to r1; the overflow of ψ, the Hardy constant and
+    # the weight there still warns
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"a_ell": 1.0, "ell": 60,
+                                "sector": [0.0, 0.01]}))
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run(capsys, "l2verify", str(path), "--grid",
+                             "coarse", "--trials", "1")
+    assert code in (0, 5), err
+    assert json.loads(out, parse_constant=_refuse)["phase"]["r_phi"] == 0.5
 
 
 def test_l2verify_runs_where_a_fitted_phase_aliased(tmp_path, capsys):

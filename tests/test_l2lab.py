@@ -1,5 +1,6 @@
 """Weighted-L² laboratory: quadrature, phases, Hardy constants, primitives."""
 
+import json
 import math
 
 import numpy as np
@@ -19,9 +20,8 @@ from connexion_lab.l2lab import (_GL_NODES, _GL_WEIGHTS, PRESETS,
                                  _tail_weight_integral,
                                  build_primitive_angular,
                                  build_primitive_radial, default_bump,
-                                 hardy_angular, log_psi, phase_sign_check,
-                                 psi_profile, vanishing_report,
-                                 weighted_norm)
+                                 hardy_angular, log_psi, psi_profile,
+                                 vanishing_report, weighted_norm)
 
 FULL = (0.0, 2.0 * math.pi)
 
@@ -123,17 +123,6 @@ def test_tau_identity_enforced_on_creation():
     lead = abs(d.a_ell) / r ** d.ell
     val = -np.real(d.a_ell * (r * np.exp(1j * th)) ** (-d.ell))
     assert abs(val - lead * math.cos(d.ell * th - d.tau)) < 1e-9 * lead
-
-
-def test_phase_sign_check_full_radius():
-    d = WeightedLineData.create(a_ell=1.0, ell=1, sector=(0.3, 1.2), r1=0.5)
-    g = grid((0.3, 1.2))
-    assert phase_sign_check(d, g) == pytest.approx(0.5)
-
-
-def test_phase_sign_check_needs_leading_term():
-    with pytest.raises(DomainError):
-        phase_sign_check(flat(), grid())
 
 
 # -- psi profile --------------------------------------------------------------
@@ -279,9 +268,6 @@ def test_angular_primitive_reconstructs_gradient():
     f = lambda r, t: np.zeros_like(r)
     gt = lambda r, t: np.cos(t)
     out = build_primitive_angular((f, gt), d, g, inner=(0.5, 1.0))
-    # the residual is a centred-difference diagnostic, second order in h
-    assert out["residual"] < 5e-3
-    assert out["curl_rel"] < 1e-8
     assert out["ratio"] <= out["bound"]
     # the primitive itself is Gauss-accurate: compare against sin on the
     # plateau modulo a function of r
@@ -691,7 +677,7 @@ def test_neg_re_phi_flat_is_exact_zero_with_broadcast_shape():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 90), st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi))
 def test_phase_matches_its_closed_form(ell, log_size, angle):
-    """−Re φ = (|a_ℓ|/r^ℓ)·cos(ℓθ − τ), and its gradient, with τ = arg(−a_ℓ).
+    """−Re φ = (|a_ℓ|/r^ℓ)·cos(ℓθ − τ) with τ = arg(−a_ℓ).
 
     Both sides round ℓθ and the powers of r, so they agree to a few ulp of
     ℓ·(1 + |θ|) times the size |a_ℓ|/r^ℓ of the phase; 2 ulp were the most
@@ -705,9 +691,6 @@ def test_phase_matches_its_closed_form(ell, log_size, angle):
     angle = ell * th - d.tau
     tol = 16 * np.finfo(float).eps * ell * (1.0 + np.abs(th)) * size
     assert np.all(np.abs(d.neg_re_phi(r, th) - size * np.cos(angle)) <= tol)
-    d_r, d_th = d.grad_neg_re_phi(r, th)
-    assert np.all(np.abs(d_r + ell * size / r * np.cos(angle)) <= ell * tol / r)
-    assert np.all(np.abs(d_th + ell * size * np.sin(angle)) <= ell * tol)
 
 
 def phase_draws(seed):
@@ -742,29 +725,6 @@ def test_neg_re_phi_tail_matches_term_loop():
         assert np.all(np.abs(out - size * np.cos(d.ell * th - d.tau)) <= tol)
 
 
-def test_grad_neg_re_phi_tail_matches_term_loop():
-    """Without a tail, the gradient of −Re φ is that of its one term.
-
-    ∂_r = −ℓ(|a_ℓ|/r^{ℓ+1})·cos(ℓθ − τ) and ∂_θ = −ℓ(|a_ℓ|/r^ℓ)·sin(ℓθ − τ),
-    to the tolerance of the phase times ℓ (and 1/r for ∂_r); no a_ℓ gives
-    zeros.
-    """
-    r = np.geomspace(1e-6, 0.99, 80)[:, None]
-    th = np.linspace(-7.0, 7.0, 64)[None, :]
-    for d in phase_draws(9):
-        d_r, d_th = d.grad_neg_re_phi(r, th)
-        assert d_r.shape == d_th.shape == (80, 64)
-        if d.a_ell == 0:
-            assert np.all(d_r == 0.0) and np.all(d_th == 0.0)
-            continue
-        ell = d.ell
-        size = abs(d.a_ell) / r ** ell
-        angle = ell * th - d.tau
-        tol = 16 * np.finfo(float).eps * ell * (1.0 + np.abs(th)) * size
-        assert np.all(np.abs(d_r + ell * size / r * np.cos(angle)) <= ell * tol / r)
-        assert np.all(np.abs(d_th + ell * size * np.sin(angle)) <= ell * tol)
-
-
 @pytest.mark.parametrize("mask", [
     [True, True, True], [False, True, True], [True, False, True],
     [True, True, False], [False, False], [], [True]])
@@ -772,43 +732,7 @@ def test_first_false_matches_scan(mask):
     assert _first_false(np.array(mask, dtype=bool)) == ref_first_false(mask)
 
 
-def ref_phase_sign_check(d, g):
-    rr, tt = np.meshgrid(g.radii, g.thetas, indexing="ij")
-    d_r, d_th = d.grad_neg_re_phi(rr, tt)
-    pred_th = np.sin(d.tau - d.ell * tt)
-    pred_r = -np.cos(d.tau - d.ell * tt)
-    ok = (d_th * pred_th >= -1e-12 * (1 + np.abs(d_th))) \
-        & (d_r * pred_r >= -1e-12 * (1 + np.abs(d_r)))
-    ok_row = np.all(ok, axis=1)
-    r_phi = g.radii[0]
-    for i in range(len(g.radii)):
-        if np.all(ok_row[: i + 1]):
-            r_phi = g.radii[i]
-        else:
-            break
-    return float(r_phi)
-
-
-def grad_with_linear_term(c):
-    """grad_neg_re_phi of φ = a_ℓ z^{−ℓ} + c·z.
-
-    The linear term breaks the proof's sign identities outwards from the
-    radius where it outweighs the leading term.
-    """
-    def grad(d, r, theta):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        z = r * np.exp(1j * theta)
-        dphi = -d.ell * d.a_ell * z ** (-d.ell - 1) + c
-        return -np.real(dphi * np.exp(1j * theta)), -np.real(dphi * 1j * z)
-    return grad
-
-
-# with c·z added the identities break nowhere (c = 0), partway, or on every
-# radius (c = 1e15 already at r_min = 1e-6)
-@pytest.mark.parametrize("c,where", [(0, "none"), (50, "partway"),
-                                     (10 ** 15, "first")])
-def test_first_failing_radius_scans_match_loops(c, where, monkeypatch):
+def test_first_failing_radius_scans_match_loops():
     sec = (0.3, 1.2)
     d = WeightedLineData.create(a_ell=1.0, ell=1, sector=sec, r1=0.5)
     g = grid(sec, "coarse")
@@ -819,24 +743,16 @@ def test_first_failing_radius_scans_match_loops(c, where, monkeypatch):
         idx = ref_first_false(good)
         assert v["monotone"] is (idx == len(good))
         assert v["r_N"] == float(g.radii[idx] if idx > 0 else g.radii[0])
-    monkeypatch.setattr(WeightedLineData, "grad_neg_re_phi",
-                        grad_with_linear_term(c))
-    r_phi = phase_sign_check(d, g)
-    assert r_phi == ref_phase_sign_check(d, g)
-    expected_r_phi = {"none": g.radii[-1], "first": g.radii[0]}
-    if where in expected_r_phi:
-        assert r_phi == expected_r_phi[where]
-    else:
-        assert g.radii[0] < r_phi < g.radii[-1]
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
-def test_catalog_phases_keep_their_sign_identities_up_to_r1(preset):
+def test_catalog_phases_keep_their_sign_identities_up_to_r1(preset, capsys):
     for name, entry in catalog.CATALOG.items():
         if entry.l2 and entry.l2["a_ell"] != 0:
-            d, sector, _, _, _ = cli._l2_data(name)
-            g = SectorGrid.make(sector=sector, r1=d.r1, preset=preset)
-            assert phase_sign_check(d, g) == d.r1, name
+            code = cli.main(["l2verify", name, "--grid", preset,
+                             "--trials", "1"])
+            r_phi = json.loads(capsys.readouterr().out)["phase"]["r_phi"]
+            assert code == 0 and r_phi == cli._l2_data(name)[0].r1, name
 
 
 # -- weights cached on the grid -----------------------------------------------
