@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connexion_lab import catalog, cli
+from connexion_lab import catalog, cli, l2lab
 from connexion_lab.errors import (DomainError, NonconvergentQuadrature,
                                   NotMonotone, SectorContainsCosZero,
                                   UnboundedRatio)
@@ -732,17 +732,33 @@ def test_first_false_matches_scan(mask):
     assert _first_false(np.array(mask, dtype=bool)) == ref_first_false(mask)
 
 
-def test_first_failing_radius_scans_match_loops():
+# with −c·r added to log ψ, r^N ψ (N ≥ −2, increasing up to r1 = 0.5 as it
+# stands) stops increasing nowhere (c = 0), partway, or on every radius
+# (c = 1e15 outweighs d log ψ/dr ≈ 0.7/r² at r_min = 1e-6)
+@pytest.mark.parametrize("c,where", [(0, "none"), (50, "partway"),
+                                     (10 ** 15, "first")])
+def test_first_failing_radius_scans_match_loops(c, where, monkeypatch):
     sec = (0.3, 1.2)
     d = WeightedLineData.create(a_ell=1.0, ell=1, sector=sec, r1=0.5)
     g = grid(sec, "coarse")
+    monkeypatch.setattr(l2lab, "log_psi",
+                        lambda *args: log_psi(*args) - c * g.radii)
     out = psi_profile(d, range(-5, 6), g)
-    lp = log_psi(d, g)
+    lp = log_psi(d, g) - c * g.radii
+    expected_r_n = {"none": g.radii[-1], "first": g.radii[0]}
     for n, v in out["verdicts"].items():
+        assert v["sign"] == 1
         good = v["sign"] * np.diff(n * np.log(g.radii) + lp) > 0
         idx = ref_first_false(good)
         assert v["monotone"] is (idx == len(good))
         assert v["r_N"] == float(g.radii[idx] if idx > 0 else g.radii[0])
+        if n < -2:
+            continue
+        assert v["monotone"] is (where == "none")
+        if where in expected_r_n:
+            assert v["r_N"] == expected_r_n[where]
+        else:
+            assert g.radii[0] < v["r_N"] < g.radii[-1]
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
