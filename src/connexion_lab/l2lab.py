@@ -110,9 +110,11 @@ class WeightedLineData:
 class SectorGrid:
     """Geometric radii, uniform angles, trapezoid weights in (u, θ).
 
-    The radii and angles are read-only copies, so the weights cached on a
-    grid (see _grid_weight) cannot go stale.  Grids compare and hash by
-    identity.
+    A grid holds, built once and read-only so that none goes stale: copies
+    of its radii and angles, and u, all 1-D; its refined grid; in _phases,
+    2·(−Re φ) per datum and θ span, (R, T); in _weights, per datum and log
+    power, w as (R, T), or (R, 1) with no phase, and phase_edge, (T,).
+    Grids compare and hash by identity.
     """
 
     radii: np.ndarray
@@ -122,6 +124,8 @@ class SectorGrid:
         for name in ("radii", "thetas"):
             arr = _read_only(np.array(getattr(self, name), dtype=float))
             object.__setattr__(self, name, arr)
+        for name in ("_weights", "_phases"):  # see _grid_weight, _log_phase
+            object.__setattr__(self, name, {})
 
     @classmethod
     def make(cls, sector=(0.0, 2.0 * math.pi), r1=0.5,
@@ -135,13 +139,13 @@ class SectorGrid:
         return _read_only(-np.log(self.radii))
 
     @cached_property
-    def _weights(self) -> dict:
-        return {}
-
-    def refined(self) -> "SectorGrid":
+    def _refined(self) -> "SectorGrid":
         return SectorGrid(
             np.geomspace(self.radii[0], self.radii[-1], 2 * len(self.radii)),
             np.linspace(self.thetas[0], self.thetas[-1], 2 * len(self.thetas)))
+
+    def refined(self) -> "SectorGrid":
+        return self._refined
 
 
 _np_trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -203,22 +207,29 @@ def _log_cumtrapz(logf, x, reverse=False):
     if reverse:
         logf = logf[..., ::-1]
         x = x[::-1]
-    dx = np.abs(np.diff(x))
-    with np.errstate(divide="ignore"):
-        log_inc = np.logaddexp(logf[..., 1:], logf[..., :-1]) + np.log(dx / 2.0)
-        start = np.full(logf.shape[:-1] + (1,), -np.inf)
-        out = np.logaddexp.accumulate(
-            np.concatenate([start, log_inc], axis=-1), axis=-1)
+    start = np.full(logf.shape[:-1] + (1,), -np.inf)
+    out = np.logaddexp.accumulate(
+        np.concatenate([start, _log_trapz_terms(logf, x)], axis=-1), axis=-1)
     if reverse:
         out = out[..., ::-1]
     return out
 
 
+def _log_trapz_terms(logf, x):
+    """log of each trapezoid term of ∫ e^{logf} dx along the last axis."""
+    with np.errstate(divide="ignore"):
+        return (np.logaddexp(logf[..., 1:], logf[..., :-1])
+                + np.log(np.abs(np.diff(x)) / 2.0))
+
+
 # -- weighted norms -----------------------------------------------------------
 
 def _eval_samples(samples, g: SectorGrid):
+    """Sample values: a callable's at the shape it returns, spread over g."""
     if callable(samples):
-        return _on_grid(samples, g.radii, g.thetas)
+        vals = np.asarray(samples(g.radii[:, None], g.thetas[None, :]), dtype=float)
+        np.broadcast_to(vals, (len(g.radii), len(g.thetas)))  # refuses an off-grid shape
+        return vals
     arr = np.asarray(samples, dtype=float)
     if arr.shape != (len(g.radii), len(g.thetas)):
         raise DomainError(f"sample array shape {arr.shape} does not match grid")
@@ -236,19 +247,31 @@ def _tail_weight_integral(d: WeightedLineData, m: int, u0: float) -> float:
     return math.inf
 
 
+def _log_phase(d: WeightedLineData, g: SectorGrid, sector) -> np.ndarray:
+    """2·(−Re φ) on g's radii and len(g.thetas) angles across sector, held
+    on g; on g's own span those angles are g.thetas, as linspace made them.
+    A broadcast zero, held nowhere, when a_ℓ = 0."""
+    if d.a_ell == 0:
+        return np.broadcast_to(0.0, (len(g.radii), len(g.thetas)))
+    key = (d, float(sector[0]), float(sector[1]))
+    if key not in g._phases:
+        th = np.linspace(sector[0], sector[1], len(g.thetas))
+        g._phases[key] = _read_only(2.0 * _on_grid(d.neg_re_phi, g.radii, th))
+    return g._phases[key]
+
+
 def _grid_weight(d: WeightedLineData, g: SectorGrid, m: int):
     """(w, phase_edge) of d on g for the log power m, built once per grid.
 
     w = r^{2β}|log r|^m e^{−2Re φ} on the grid; phase_edge is e^{−2Re φ}
     on the innermost radius.  The r-only part of log w is taken on the
-    1-D u and broadcast over θ.
+    1-D u; with no phase, w is its exp as an (R, 1) column.
     """
     key = (d, m)
     if key not in g._weights:
         with np.errstate(over="ignore"):
-            logw = ((-2.0 * d.beta * g.u + m * np.log(g.u))[:, None]
-                    + 2.0 * _on_grid(d.neg_re_phi, g.radii, g.thetas))
-            w = np.exp(logw)
+            phase = _log_phase(d, g, (g.thetas[0], g.thetas[-1])) if d.a_ell else 0.0
+            w = np.exp((-2.0 * d.beta * g.u + m * np.log(g.u))[:, None] + phase)
         with np.errstate(invalid="ignore", over="ignore"):
             phase_edge = np.exp(2.0 * d.neg_re_phi(g.radii[0], g.thetas))
         g._weights[key] = (_read_only(w), _read_only(phase_edge))
@@ -264,15 +287,16 @@ def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
     else:
         sq = _eval_samples(samples, g) ** 2
     with np.errstate(invalid="ignore", over="ignore"):
-        vals = sq * w
-    vals[~(sq > 0)] = 0.0
+        vals = np.where(sq > 0, sq * w, 0.0)
     if np.any(np.isinf(vals)):
         return math.inf
-    inner = _np_trapz(vals, g.thetas, axis=1)
+    shape = (len(g.radii), len(g.thetas))
+    inner = _np_trapz(np.broadcast_to(vals, shape), g.thetas, axis=1)
     total = float(_np_trapz(inner[::-1], g.u[::-1], axis=0))
     # analytic remainder below r_min: freeze the sample and the phase factor
+    sq0 = np.broadcast_to(sq, shape)[0]
     with np.errstate(invalid="ignore", over="ignore"):
-        edge = np.where(sq[0, :] > 0, sq[0, :] * phase_edge, 0.0)
+        edge = np.where(sq0 > 0, sq0 * phase_edge, 0.0)
     tail_w = _tail_weight_integral(d, m, float(g.u[0]))
     if np.any(edge > 0):
         if not (math.isfinite(tail_w) and np.all(np.isfinite(edge))):
@@ -284,11 +308,11 @@ def _norm_on_grid(p, samples, d: WeightedLineData, g: SectorGrid) -> float:
 def weighted_norm(p: int, samples, d: WeightedLineData, g: SectorGrid) -> float:
     """Squared norm ∫|·|² r^{2β}|log r|^{κ+2(p−1)} e^{−2Re φ} dθ dr/r.
 
-    Callable samples are evaluated as in _on_grid, so they must broadcast;
-    a finite nonzero value from them is checked against the refined grid,
-    built afresh each time.  Sample arrays are taken as given.  The weight
-    is computed once per (data, log power) and kept on the grid for the
-    grid's lifetime, which is why grid arrays are read-only.
+    Callable samples are called on a radius column and an angle row, so
+    they must broadcast; a finite nonzero value from them is checked
+    against g.refined(), which g holds.  Sample arrays are taken as given.
+    The weight is computed once per (data, log power) and kept on the grid
+    for the grid's lifetime, which is why grid arrays are read-only.
     """
     if p not in (0, 1, 2):
         raise DomainError("form degree must be 0, 1 or 2")
@@ -327,7 +351,8 @@ def log_psi(d: WeightedLineData, g: SectorGrid, sector=None) -> np.ndarray:
     if sector is None:
         sector = (g.thetas[0], g.thetas[-1])
     th = np.linspace(sector[0], sector[1], len(g.thetas))
-    return _log_cumtrapz(2.0 * _on_grid(d.neg_re_phi, g.radii, th), th)[:, -1]
+    return np.logaddexp.reduce(_log_trapz_terms(_log_phase(d, g, sector), th),
+                               axis=-1, initial=-np.inf)
 
 
 def psi_profile(d: WeightedLineData, n_range, g: SectorGrid, sub_sector=None):
@@ -400,7 +425,7 @@ def hardy_angular(d: WeightedLineData, inner, outer, g: SectorGrid) -> float:
         s = np.sin(d.tau - d.ell * th)
         if not (np.all(s >= -1e-12) or np.all(s <= 1e-12)):
             raise NotMonotone("weight is not θ-monotone on the outer sector")
-    lw = 2.0 * _on_grid(d.neg_re_phi, g.radii, th)
+    lw = _log_phase(d, g, outer)
     # pair the cumulative of w on its small side (from θ0 when w grows) with
     # that of 1/w on its own small side, so the product stays ≤ width²/4
     grows = _grows_in_theta(d, th)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from connexion_lab.errors import (DomainError, NonconvergentQuadrature,
 from connexion_lab.l2lab import (_GL_NODES, _GL_WEIGHTS, PRESETS,
                                  SectorGrid, WeightedLineData,
                                  _cumgauss_theta, _eval_samples, _first_false,
-                                 _grid_weight, _log_cumtrapz, _manufactured,
+                                 _grid_weight, _log_cumtrapz, _log_phase,
+                                 _manufactured,
                                  _norm_on_grid, _np_trapz,
                                  _tail_weight_integral,
                                  build_primitive_angular,
@@ -636,9 +638,10 @@ def test_eval_samples_matches_meshgrid(func, shape, preset):
     size = {"R": len(g.radii), "T": len(g.thetas), "1": 1}
     assert np.shape(func(g.radii[:, None], g.thetas[None, :])) == \
         tuple(size[c] for c in shape)
+    # kept at the callable's shape; spread over the grid, the meshgrid bits
     new = _eval_samples(func, g)
-    assert new.shape == (len(g.radii), len(g.thetas))
-    assert np.array_equal(new, old_eval_samples(func, g))
+    assert np.array_equal(np.broadcast_to(new, (len(g.radii), len(g.thetas))),
+                          old_eval_samples(func, g))
 
 
 @pytest.mark.parametrize("params,sec,inner,increasing", HARDY_ORIENTATIONS)
@@ -783,9 +786,9 @@ def ref_norm_on_grid(p, samples, d, g):
         w = np.exp(logw)
     if p == 1:
         f, gt = samples
-        sq = _eval_samples(f, g) ** 2 + _eval_samples(gt, g) ** 2
+        sq = old_eval_samples(f, g) ** 2 + old_eval_samples(gt, g) ** 2
     else:
-        sq = _eval_samples(samples, g) ** 2
+        sq = old_eval_samples(samples, g) ** 2
     with np.errstate(invalid="ignore", over="ignore"):
         vals = np.where(sq > 0, sq * w, 0.0)
     if np.any(np.isinf(vals)):
@@ -804,11 +807,15 @@ def ref_norm_on_grid(p, samples, d, g):
 
 
 def ref_weighted_norm(p, samples, d, g, check):
-    """weighted_norm's convergence check around the reference norm."""
+    """weighted_norm's convergence check around the reference norm, on a
+    refined grid built afresh."""
     val = ref_norm_on_grid(p, samples, d, g)
     refinable = callable(samples) or (p == 1 and all(callable(s) for s in samples))
     if check and refinable and math.isfinite(val) and val != 0:
-        val2 = ref_norm_on_grid(p, samples, d, g.refined())
+        fine = SectorGrid(
+            np.geomspace(g.radii[0], g.radii[-1], 2 * len(g.radii)),
+            np.linspace(g.thetas[0], g.thetas[-1], 2 * len(g.thetas)))
+        val2 = ref_norm_on_grid(p, samples, d, fine)
         if abs(val2 - val) > 0.01 * abs(val):
             raise NonconvergentQuadrature
     return val
@@ -835,10 +842,10 @@ WEIGHT_CASES = [
 def _samples(p, g):
     """A callable and an array version of p-form samples on g."""
     fn = lambda r, t: np.cos(t) / (1.0 - np.log(r)) + r
-    arr = _eval_samples(fn, g)
+    arr = old_eval_samples(fn, g)
     if p == 1:
         gt = lambda r, t: np.sin(2.0 * t) * r
-        return (fn, gt), (arr, _eval_samples(gt, g))
+        return (fn, gt), (arr, old_eval_samples(gt, g))
     return fn, arr
 
 
@@ -896,10 +903,85 @@ def test_grid_arrays_are_read_only():
     g = SectorGrid(radii, thetas)
     radii[0] = thetas[0] = 7.0
     assert g.radii[0] == 1e-6 and g.thetas[0] == 0.3
-    for arr in (g.radii, g.thetas, g.u):
+    fine = g.refined()
+    assert fine is g.refined()
+    held = [g.radii, g.thetas, g.u, fine.radii, fine.thetas, fine.u]
+    for d in (flat(1.0, 2), WeightedLineData.create(a_ell=1.0, sector=SEC1)):
+        held += [*_grid_weight(d, g, 0), *_grid_weight(d, fine, 0),
+                 _log_phase(d, g, SEC1), _log_phase(d, fine, (0.5, 1.0))]
+    for arr in held:
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    d = flat(1.0, 2)
-    for w in _grid_weight(d, g, 0):
-        with pytest.raises(ValueError):
-            w[0] = 1.0
+
+
+def test_interleaved_data_and_sectors_keep_their_own_phases():
+    # each datum differs from the first in one field; only a_ℓ = 0 holds none
+    base = dict(beta=0.5, kappa=0, ell=1, a_ell=1.0)
+    data = [WeightedLineData.create(sector=SEC1, r1=0.5, **dict(base, **change))
+            for change in ({}, {"a_ell": 2.0}, {"ell": 2}, {"beta": 0.25},
+                           {"a_ell": 0.0})]
+    g = grid(SEC1, "coarse")
+    sectors = [SEC1, (0.5, 1.0), (0.3, 0.8)]
+    for _ in range(2):
+        for d in data + data[::-1]:
+            for sec in sectors:
+                th = np.linspace(*sec, len(g.thetas))
+                rr, tt = np.meshgrid(g.radii, th, indexing="ij")
+                phase = _log_phase(d, g, sec)
+                assert np.array_equal(phase, 2.0 * d.neg_re_phi(rr, tt))
+                assert phase.shape == rr.shape
+    assert len(g._phases) == 4 * len(sectors)
+    # the grid's own span, however its ends are typed, is one entry
+    assert _log_phase(data[0], g, (g.thetas[0], g.thetas[-1])) is \
+        _log_phase(data[0], g, SEC1)
+
+
+def test_report_kernels_share_one_phase():
+    d = WeightedLineData.create(beta=0.5, kappa=1, ell=1, a_ell=1.0,
+                                sector=SEC1, r1=0.5)
+    g = grid(SEC1, "coarse")
+    psi_profile(d, range(-2, 3), g)
+    hardy_angular(d, (0.5, 1.0), SEC1, g)
+    vanishing_report(d, 1, g)
+    assert len(g._phases) == 1 and len(g._weights) == 2
+
+
+def test_flat_calibration_holds_no_full_grid_arrays():
+    # the two flat weights hold (R, 1) columns and θ rows, on the grid and
+    # on its refined grid, so a long-lived calibration grid stays small
+    g = grid()
+    one = lambda r, t: np.ones_like(r)
+    data = (flat(0.0, 0), flat(1.0, 2))
+    for _ in range(2):
+        for d in data:
+            assert weighted_norm(0, one, d, g) == \
+                ref_weighted_norm(0, one, d, g, True)
+    fine = g.refined()
+    assert len(fine.radii) == 1600 and fine is g.refined()
+    assert len(fine._weights) == 2 and not fine._phases and not g._phases
+    for grid_ in (g, fine):
+        for arr in (a for pair in grid_._weights.values() for a in pair):
+            assert arr.size <= len(grid_.radii)
+
+
+log_values = st.one_of(st.sampled_from([math.inf, -math.inf]),
+                       st.floats(-60.0, 60.0),
+                       st.floats(1e299, 1e301), st.floats(-1e301, -1e299))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 9).flatmap(lambda n: st.lists(
+    st.lists(log_values, min_size=n, max_size=n), min_size=1, max_size=4)),
+    st.floats(1e-3, 7.0))
+def test_log_psi_reduce_is_the_last_cumulative_column(rows, width):
+    # log_psi folds the trapezoid terms of each row with one reduce; the
+    # accumulate form of _log_cumtrapz ends on the same bits.  The rows
+    # stand in for the phase log_psi reads.
+    logf = np.array(rows)
+    g = SectorGrid(np.geomspace(1e-3, 0.5, len(logf)),
+                   np.linspace(0.1, 0.1 + width, logf.shape[1]))
+    with np.errstate(invalid="ignore", over="ignore"), \
+            mock.patch.object(l2lab, "_log_phase", lambda *args: logf):
+        new = log_psi(flat(), g)
+        old = _log_cumtrapz(logf, g.thetas)[:, -1]
+    assert np.array_equal(new, old, equal_nan=True)
