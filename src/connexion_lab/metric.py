@@ -6,8 +6,8 @@ sums, so the only numerical error is float rounding.  Every function of
 a point takes one point or an array of points and works on (n, d, d)
 stacks, one block at a time.  The a-independent data of a block are
 cached on its ``MetricBlock``; ``_orthonormal`` is the one change to the
-orthonormal frame, and ``pseudo_curvature`` takes Θ(a) and Θ(2a) from
-one ``_theta_block`` call per block, on the stacked radii (a, 2a).
+orthonormal frame, and ``pseudo_curvature`` takes Θ(a) and Θ(2a) on the
+radii (a, 2a) only for blocks with a part ≥ 2: the rest are exact zeros.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def _diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_stack(mm: ModelMetric, n: int, block_fn) -> np.ndarray:
-    """(n, d, d) block-diagonal stack; block_fn(b) fills block b's slice."""
+def _block_stack(mm: ModelMetric, n: int, block_fn, blocks=None) -> np.ndarray:
+    """(n, d, d) block-diagonal stack; block_fn(b) fills b's slice, b in blocks or mm's."""
     out = np.zeros((n, mm.rank, mm.rank), dtype=complex)
-    for b in mm.blocks:
+    for b in mm.blocks if blocks is None else blocks:
         sl = slice(b.offset, b.offset + b.size)
         out[:, sl, sl] = block_fn(b)
     return out
@@ -131,8 +131,8 @@ def _orthonormal(block: MetricBlock, a, mats) -> np.ndarray:
     a holds n points; mats is a (k, s, s) stack shared by the points or an
     (n, k, s, s) stack per point, and gives an (n, k, s, s) result.
     """
-    ah, ahm = _diag(a[:, None, None] ** block.half_weights).swapaxes(0, 1)
-    return (block.exp_neg_x @ ah)[:, None] @ mats @ ahm[:, None] @ block.exp_x
+    ah, ahm = (a[:, None, None] ** block.half_weights)[:, :, None, None].swapaxes(0, 1)
+    return (block.exp_neg_x * ah) @ mats * ahm @ block.exp_x
 
 
 def _theta_block(block: MetricBlock, a):
@@ -158,9 +158,14 @@ def pseudo_curvature(mm: ModelMetric, z) -> np.ndarray:
     z̄-derivative is extracted exactly from Θ(a) and Θ(2a) instead of a
     finite-difference stencil.  Both come from one ``_theta_block`` call
     per block on the stacked radii (a, 2a), from the block's cached data.
+    Blocks of partition (1, …, 1) are skipped: there Y = X = H = 0, so Θ is
+    a constant multiple of the identity and both terms are exact zeros.
     """
     zs, a = _points(z)
-    n, a2, a_2a = len(zs), _pow(a, 2), np.concatenate([a, 2 * a])
+    n, blocks = len(zs), [b for b in mm.blocks if max(b.triple.partition) > 1]
+    if not blocks:
+        return _shaped(z, np.zeros((n, mm.rank, mm.rank), dtype=complex))
+    a2, a_2a = _pow(a, 2), np.concatenate([a, 2 * a])
     two_a = a_2a[n:, None, None]
 
     def g_block(b):
@@ -169,7 +174,7 @@ def pseudo_curvature(mm: ModelMetric, z) -> np.ndarray:
         dbar_theta = two_a * (theta - theta2) / a2
         return dbar_theta + n01 @ theta - theta @ n01
 
-    return _shaped(z, _block_stack(mm, n, g_block))
+    return _shaped(z, _block_stack(mm, n, g_block, blocks))
 
 
 def higgs_field(mm: ModelMetric) -> np.ndarray:

@@ -145,17 +145,19 @@ def test_pseudo_curvature_does_not_carry_zphi_prime():
 
     With zφ′ inside Θ the norm reached 3e-10 on φ = (2 + 2i)·z⁻² at
     |z| = 5e-4 (the float-lab benchmark's fault model), a loss of |zφ′|·eps.
+    No φ is read at all, so a frame and its criterion-3 twist give the
+    same bytes.
     """
     fault = ElementaryModel(1, ((PuiseuxSeries(1, {-2: CQ.of(2, 2)}, TR),
                                  (RegularBlockData(CQ.of((1, 5)), (2,)),)),))
     ring = 5e-4 * np.exp(2j * np.pi * np.arange(16) / 16)
-    cases = [(adapted_metric_frame(m), ring) for m in (fault, twisted(fault))]
-    cases += [(adapted_metric_frame(twisted(formal_decompose(e.germ(TR)))), zs)
-              for e in catalog.CATALOG.values()
+    cases = [(fault, ring)]
+    cases += [(formal_decompose(e.germ(TR)), zs) for e in catalog.CATALOG.values()
               for zs in (ring, sample_points(200, seed=3))]
-    for mm, zs in cases:
-        norms = np.linalg.norm(pseudo_curvature(mm, zs), 2, axis=(1, 2))
-        assert np.max(norms) <= 1e-14
+    for model, zs in cases:
+        g = pseudo_curvature(adapted_metric_frame(twisted(model)), zs)
+        assert np.max(np.linalg.norm(g, 2, axis=(1, 2))) <= 1e-14
+        assert_same_bits(g, pseudo_curvature(adapted_metric_frame(model), zs))
 
 
 def test_higgs_field_constant_blocks():
@@ -384,8 +386,9 @@ def twisted(model):
 def oracle_frames():
     """Catalog frames, their criterion-3 twists, and larger Jordan blocks.
 
-    The last two models hold a (4,) block, a (2, 2) partition and two (2,)
-    blocks under one φ, shapes that the float-lab benchmark draws.
+    The last four models hold a (4,) block, a (2, 2) partition, two (2,)
+    blocks under one φ, and a (2,) block beside a (1, 1) partition, shapes
+    that the float-lab benchmark draws.
     """
     models = [formal_decompose(e.germ(TR)) for e in catalog.CATALOG.values()]
     models += [twisted(m) for m in models]
@@ -401,6 +404,10 @@ def oracle_frames():
         (PuiseuxSeries(1, {-1: CQ.of(1, -1)}, TR),
          (RegularBlockData(CQ.of((1, 5), (1, 2)), (2,)),
           RegularBlockData(CQ.of((4, 5), (-1, 2)), (2,)))),)))
+    models.append(ElementaryModel(1, (
+        (PuiseuxSeries(1, {-1: CQ.of((3, 2), -1)}, TR),
+         (RegularBlockData(CQ.of((2, 5), (1, 3)), (2,)),)),
+        (PuiseuxSeries(1, {}, TR), (RegularBlockData(CQ.of((4, 5), (1, 2)), (1, 1)),)))))
     return [adapted_metric_frame(m) for m in models]
 
 
@@ -436,6 +443,27 @@ def test_pseudo_curvature_matches_theta_block_version():
             assert_same_bits(pseudo_curvature(mm, complex(z)), o)
         empty = pseudo_curvature(mm, np.array([], dtype=complex))
         assert empty.shape == (0, mm.rank, mm.rank)
+
+
+def test_old_pseudo_curvature_is_plus_zero_on_semisimple_blocks():
+    """pseudo_curvature leaves the slices of all-1s blocks as np.zeros' +0.
+
+    On such a block Y = X = H = 0, so Θ is a constant multiple of the
+    identity: ∂̄Θ and [N^{0,1}, Θ] vanish exactly.  This checks that premise
+    on the oracle, byte for byte, at every ORACLE_POINTS point.
+    """
+    partitions = set()
+    for mm in oracle_frames():
+        flat = [b for b in mm.blocks if max(b.triple.partition) == 1]
+        if not flat:
+            continue
+        partitions.update(b.triple.partition for b in flat)
+        for z in ORACLE_POINTS:
+            g = old_pseudo_curvature(mm, z)
+            for b in flat:
+                sl = slice(b.offset, b.offset + b.size)
+                assert_same_bits(g[sl, sl], np.zeros((b.size, b.size), dtype=complex))
+    assert {(1,), (1, 1)} <= partitions
 
 
 def random_phis(rng, count):

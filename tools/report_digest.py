@@ -1,5 +1,6 @@
 """Print a run count and one SHA-256 over what the CLI reports, then an
-operation count and one SHA-256 over what the l2lab kernels compute.
+operation count and one SHA-256 over what the l2lab kernels compute, then
+an operation count and one SHA-256 over what the metric layer computes.
 
 Per run of `analyze` or `l2verify`: its argv, exit code, stdout, stderr and
 every file its --out wrote. Runs: each command on every catalog entry at
@@ -14,8 +15,15 @@ benchmark runs it: psi_profile, hardy_angular, vanishing_report,
 build_primitive_radial (ℓ = 1), both calibration norms, and the angular
 primitive's u and ratio, each array by its shape and bytes and each other
 value by its repr, or "Class: message" if the operation raises.
+
+Per float-lab `metric` operation of seeds 1-5, what run_metric returns:
+K, the curvature ratios, the pseudo-curvature of the frame and of its
+twist at each point, and for a glued model the glued metric and the
+determinant certificate, each array by its shape, dtype and bytes.
+
 A change that keeps the CLI's reports prints the first line of its parent;
-one that keeps the kernels' outputs, the second.
+one that keeps the kernels' outputs, the second; one that keeps the metric
+layer's outputs, the third.
 
     python tools/report_digest.py
 """
@@ -36,7 +44,8 @@ sys.path[:0] = [str(Path(__file__).resolve().parent.parent / d)
 
 import gen  # noqa: E402
 from connexion_lab import cli, l2lab  # noqa: E402
-from run import _manufactured, prepare, run_l2, spec_document  # noqa: E402
+from run import (_manufactured, prepare, run_l2, run_metric,  # noqa: E402
+                 spec_document)
 
 
 def runs():
@@ -87,36 +96,48 @@ def l2_outputs(op, ctx):
     return run_l2(op, ctx), prim["u"], prim["ratio"]
 
 
-def feed(obj, digest) -> None:
-    """Arrays by shape and bytes, containers item by item, the rest by repr."""
+def feed(obj, digest, dtype=False) -> None:
+    """Arrays by shape (and dtype if asked) and bytes, containers item by
+    item, the rest by repr."""
     if isinstance(obj, np.ndarray):
-        digest.update(f"{obj.shape}".encode() + np.ascontiguousarray(obj).tobytes())
+        head = f"{obj.shape}{obj.dtype}" if dtype else f"{obj.shape}"
+        digest.update(head.encode() + np.ascontiguousarray(obj).tobytes())
     elif isinstance(obj, dict):
         for key, value in obj.items():
             digest.update(f"{key!r}:".encode())
-            feed(value, digest)
+            feed(value, digest, dtype)
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            feed(item, digest)
+            feed(item, digest, dtype)
     else:
         digest.update(f"{obj!r};".encode())
 
 
-digest, kernels = hashlib.sha256(), hashlib.sha256()
+def feed_op(op, ctx, outputs, digest, dtype=False) -> None:
+    """op's name, then what outputs(op, ctx) returns or the error it raises."""
+    digest.update(f"{op.name}\n".encode())
+    try:
+        feed(outputs(op, ctx), digest, dtype)
+    except Exception as exc:  # an error is an outcome like any other
+        digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+
+
+digest, kernels, metrics = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
 with tempfile.TemporaryDirectory() as scratch:
     os.chdir(scratch)
     for count, (argv, with_out) in enumerate(runs(), 1):
         run(argv, Path(f"out{count}") if with_out else None, digest)
     # after the CLI runs, so that no warning they print has been shown before
-    n_ops = 0
+    n_ops = n_metric = 0
     for seed in range(1, 6):
         ops, ctx = prepare("float-lab", seed, Path(scratch))
-        for op in (op for op in ops if op.kind == "l2"):
-            n_ops += 1
-            kernels.update(f"{op.name}\n".encode())
-            try:
-                feed(l2_outputs(op, ctx), kernels)
-            except Exception as exc:  # an error is an outcome like any other
-                kernels.update(f"{type(exc).__name__}: {exc}\n".encode())
+        for op in ops:
+            if op.kind == "l2":
+                n_ops += 1
+                feed_op(op, ctx, l2_outputs, kernels)
+            elif op.kind == "metric":
+                n_metric += 1
+                feed_op(op, ctx, run_metric, metrics, dtype=True)
 print(count, digest.hexdigest())
 print(n_ops, kernels.hexdigest())
+print(n_metric, metrics.hexdigest())
